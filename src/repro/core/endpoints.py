@@ -238,14 +238,15 @@ class SourceEndPoint(EndPoint):
                 self._notify_engine()
             return progress
         budget = 1 if self.pacing_s else self.pump_budget
-        queued = False
+        queued = starved = False
         for _ in range(budget):
             item = None if self._exhausted else self.produce()
             if item is None:
                 self._exhausted = True
                 break
             if not item:
-                break  # nothing available right now (cooperative receivers)
+                starved = True  # nothing available right now (receivers)
+                break
             self._pending.append(self._encode(item))
             queued = True
         if queued:
@@ -255,8 +256,21 @@ class SourceEndPoint(EndPoint):
                 self._close_output()
             self._complete()
             return True
+        if starved and not self._pending and self._starved_wakeup_armed():
+            return progress or queued
         self._notify_engine()  # stay scheduled until exhausted
         return True
+
+    def _starved_wakeup_armed(self) -> bool:
+        """True when new input re-marks this source with the engine itself.
+
+        A source whose ``produce`` came up empty normally re-notifies the
+        engine to be looked at again next round.  One whose arrivals raise
+        their own wake-up (a receiver hook, a selector-parked socket)
+        returns True here and is left alone until then, instead of costing
+        an empty look — for a socket, an ``EAGAIN`` syscall — per round.
+        """
+        return False
 
     def _close_output_after_error(self) -> None:
         self._close_output()

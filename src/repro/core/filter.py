@@ -136,7 +136,8 @@ class Filter:
         self._stop_event = threading.Event()
         self._finished = threading.Event()
         self._started = False
-        self._busy = False
+        # DIS bytes whose transform *and* emit have completed; see _busy.
+        self._input_done = 0
 
         # Cooperative (event-engine) execution state.
         self._engine = None
@@ -339,6 +340,20 @@ class Filter:
         """True while the filter is holding at a boundary."""
         return self._held.is_set() and not self._resume.is_set()
 
+    @property
+    def _busy(self) -> bool:
+        """True while a batch taken from the DIS is still in the filter.
+
+        The DIS counts bytes out under the same lock that empties it, so
+        there is no instant at which a batch has left the DIS and this is
+        still False — the ordering :meth:`quiesce` depends on: a splice
+        that saw "no input, not busy" between the read and the transform
+        would re-splice the chain around a batch still in flight.  (A
+        flag raised *before* the read cannot do this for the threaded
+        loop: a reader parked in its blocking read would look busy.)
+        """
+        return self.dis.bytes_delivered != self._input_done
+
     def is_idle(self) -> bool:
         """True when the filter has no buffered or in-flight input/output."""
         return (self.dis.available() == 0 and not self._busy
@@ -448,7 +463,7 @@ class Filter:
                 continue
             if not chunks:
                 return  # end of stream
-            self._busy = True
+            taken = self.dis.bytes_delivered  # sole reader: through this batch
             try:
                 outputs: List[bytes] = []
                 self._batch_in_bytes = self._batch_in_chunks = 0
@@ -470,7 +485,7 @@ class Filter:
                         self.stats.record_budget_exhausted()
                 self._emit_units(outputs)
             finally:
-                self._busy = False
+                self._input_done = taken
                 self._notify_activity()
 
     # ------------------------------------------------------- cooperative pump
@@ -539,7 +554,7 @@ class Filter:
             chunks = self.dis.read_chunks(self.chunk_size * self.pump_budget,
                                           timeout=0)
             if chunks:
-                self._busy = True
+                taken = self.dis.bytes_delivered
                 self._batch_in_bytes = self._batch_in_chunks = 0
                 try:
                     # Appending straight onto the pending deque means a
@@ -553,7 +568,9 @@ class Filter:
                                                   self._batch_in_chunks)
                     if self._batch_in_chunks >= self.pump_budget:
                         self.stats.record_budget_exhausted()
-                    self._busy = False
+                    # Outputs are parked on _pending by now, which keeps
+                    # is_idle() False until they are flushed.
+                    self._input_done = taken
                 self._flush_pending()
                 return True
         if self.dis.at_eof():

@@ -615,6 +615,12 @@ def collect_channels() -> List[MetricFamily]:
         "counter",
         "Datagrams delivered to a local channel member",
     )
+    receive_syscalls = MetricFamily(
+        "repro_transport_receive_syscalls_total",
+        "counter",
+        "Receive syscalls a local member attempted (data or EAGAIN); over "
+        "datagrams_received it is the syscalls paid per datagram",
+    )
     framing_errors = MetricFamily(
         "repro_transport_framing_errors_total",
         "counter",
@@ -632,8 +638,18 @@ def collect_channels() -> List[MetricFamily]:
         for receiver in receivers:
             member_labels = dict(labels, member=receiver.name)
             received.add(getattr(receiver, "packets_received", 0), member_labels)
+            receive_syscalls.add(
+                getattr(receiver, "receive_syscalls", 0), member_labels
+            )
             framing_errors.add(getattr(receiver, "framing_errors", 0), member_labels)
-    return [sent, sent_bytes, send_errors, received, framing_errors]
+    return [
+        sent,
+        sent_bytes,
+        send_errors,
+        received,
+        receive_syscalls,
+        framing_errors,
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,14 @@ import time
 from typing import Dict, List, Optional
 
 from ..obs.metrics import register_engine as _obs_register_engine
-from .base import EngineError, ExecutionEngine
+from .base import (
+    GATED,
+    IDLE,
+    READY,
+    EngineError,
+    ExecutionEngine,
+    pump_verdict,
+)
 
 #: Fallback wakeup period for the scheduler coroutine.  Every state change
 #: that can make an element ready fires a notification, so this is a
@@ -159,9 +166,9 @@ class AsyncioEngine(ExecutionEngine):
         the dirty set directly instead.  This is not just cheaper: the
         threadsafe path writes the loop's self-pipe, and that syscall
         releases the GIL mid-listener, handing control to e.g. a splicing
-        ControlThread at an instant where the pumped element holds chunks
-        that no quiescence check can see.  The direct path keeps the pump
-        step GIL-atomic at exactly the points the event engine does.
+        ControlThread in the middle of a pump step.  The direct path keeps
+        the pump step GIL-atomic at exactly the points the event engine
+        does.
         """
         if self._on_loop_thread():
             self._dirty.add(element)
@@ -248,8 +255,18 @@ class AsyncioEngine(ExecutionEngine):
         self._wake_loop()
 
     def _fd_ready(self, element) -> None:
-        """A registered fd became readable (loop thread)."""
+        """A registered fd became readable (loop thread).
+
+        Readiness is reported once per look: the reader comes off the loop
+        here and goes back on when the round visits the element.  Left on,
+        the level-triggered reader fires again on every loop iteration
+        until the round has drained the socket — including once *after*
+        it, from the select that preceded the drain — and that stale mark
+        would buy the source a second, empty look (one ``EAGAIN`` receive
+        syscall per packet).
+        """
         self._metric_reader_wakeups += 1
+        self._suspend_reader(element)
         self._dirty.add(element)
         self._wake_loop()
 
@@ -409,7 +426,8 @@ class AsyncioEngine(ExecutionEngine):
                 finished.append(element)
                 continue
             try:
-                if self._ready(element):
+                verdict = pump_verdict(element)
+                if verdict is READY:
                     self._gated.discard(element)
                     self._resume_reader(element)
                     self._metric_pumps += 1
@@ -419,7 +437,7 @@ class AsyncioEngine(ExecutionEngine):
                     # listeners, so follow-on work lands back in the dirty
                     # set by itself.
                 else:
-                    self._park(element)
+                    self._park(element, verdict)
             except Exception:  # noqa: BLE001 - a dying element (teardown
                 pass           # races on its streams) must not kill the
                                # scheduler; pump reports via element.error
@@ -451,63 +469,26 @@ class AsyncioEngine(ExecutionEngine):
         self._dirty.clear()
         self._gated.clear()
 
-    # --------------------------------------------------- readiness predicates
-
-    def _ready(self, element) -> bool:
-        """Decide whether pumping ``element`` would make progress right now.
-
-        Identical to the event engine's predicate — the two engines must
-        agree on when an element may run for the equivalence guarantee to
-        hold by construction.
-        """
-        if element.stop_requested:
-            return True
-        if element.held:
-            return False
-        if element.pending_output:
-            # Parked output can only move once the DOS is reattached.
-            return element.dos.connected
-        if element.wants_input_pump():
-            return not self._backpressured(element)
-        return False
-
-    def _park(self, element) -> None:
+    def _park(self, element, verdict: str) -> None:
         """File a not-ready element wherever its wake-up will come from.
 
         Cross-element conditions (downstream high-water, output parked
         across a splice) go to the every-round gated set; a paced source
         between items goes on a native ``loop.call_later`` timer;
-        everything else is left alone — its own stream, hold or stop
-        notification re-marks it.
+        everything else is left alone — its own stream, socket, hold or
+        stop notification re-marks it.
         """
-        if element.stop_requested:
+        if verdict is IDLE:
+            # Waiting for input: a socket-backed source must have its
+            # reader registered for that (it may have been suspended while
+            # held).
+            self._resume_reader(element)
+            due = element.next_due_s()
+            if due is not None and element not in self._timers:
+                delay = max(0.0, due - time.monotonic())
+                self._timers[element] = self._loop.call_later(
+                    delay, self._timer_fire, element)
             return
-        if element.held:
-            self._suspend_reader(element)
-            return
-        if element.pending_output:
-            self._gated.add(element)  # waiting on a reattach in the splice
-            self._suspend_reader(element)
-            return
-        if element.wants_input_pump():
-            if self._backpressured(element):
-                self._gated.add(element)
-                self._suspend_reader(element)
-            return
-        due = element.next_due_s()
-        if due is not None and element not in self._timers:
-            delay = max(0.0, due - time.monotonic())
-            self._timers[element] = self._loop.call_later(
-                delay, self._timer_fire, element)
-
-    @staticmethod
-    def _backpressured(element) -> bool:
-        """True while the element's downstream buffer is at/over capacity."""
-        dos = element.dos
-        if not dos.connected:
-            return False  # one transform will park in _pending; that's fine
-        sink = dos.sink
-        if sink is None:
-            return False
-        capacity = sink.buffer.capacity
-        return capacity is not None and sink.available() >= capacity
+        if verdict is GATED:
+            self._gated.add(element)
+        self._suspend_reader(element)

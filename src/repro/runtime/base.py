@@ -71,6 +71,46 @@ class ExecutionEngine(ABC):
         return f"<{type(self).__name__} name={self.name!r}>"
 
 
+#: Verdicts of :func:`pump_verdict` — one visit's answer to "pump this
+#: element now, or where will its wake-up come from?".
+READY = "ready"    # a pump step would make progress
+HELD = "held"      # at a boundary hold; the release notification re-marks it
+GATED = "gated"    # waits on another element (high-water, splice reattach)
+IDLE = "idle"      # no input; its stream, socket or timer re-marks it
+
+
+def pump_verdict(element) -> str:
+    """Classify a cooperative element for one scheduler visit.
+
+    Both cooperative engines schedule off this one predicate, so they
+    agree on when an element may run by construction.  It asks
+    ``wants_input_pump()`` at most once: for a socket-backed source that
+    question can cost a receive syscall.
+    """
+    if element.stop_requested:
+        return READY
+    if element.held:
+        return HELD
+    if element.pending_output:
+        # Parked output can only move once the DOS is reattached.
+        return READY if element.dos.connected else GATED
+    if element.wants_input_pump():
+        return GATED if _backpressured(element) else READY
+    return IDLE
+
+
+def _backpressured(element) -> bool:
+    """True while the element's downstream buffer is at/over capacity."""
+    dos = element.dos
+    if not dos.connected:
+        return False  # one transform will park in _pending; that's fine
+    sink = dos.sink
+    if sink is None:
+        return False
+    capacity = sink.buffer.capacity
+    return capacity is not None and sink.available() >= capacity
+
+
 _REGISTRY: Dict[str, Callable[[], "ExecutionEngine"]] = {}
 _DEFAULT_NAME: Optional[str] = None
 

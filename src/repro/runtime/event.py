@@ -62,7 +62,14 @@ import time
 from typing import Dict, List, Optional
 
 from ..obs.metrics import register_engine as _obs_register_engine
-from .base import EngineError, ExecutionEngine
+from .base import (
+    GATED,
+    IDLE,
+    READY,
+    EngineError,
+    ExecutionEngine,
+    pump_verdict,
+)
 
 #: Fallback wakeup period for the scheduler.  Every state change that can
 #: make an element ready fires a notification, so this is a liveness safety
@@ -238,9 +245,9 @@ class EventEngine(ExecutionEngine):
 
     def _resume_selectable_fd(self, element) -> None:
         """Put a previously suspended element's fd back on the selector."""
+        if element not in self._suspended:
+            return  # only this (scheduler) thread ever suspends: no lock
         with self._cond:
-            if element not in self._suspended:
-                return
             self._suspended.discard(element)
             fd = self._selectable_fds.get(element)
             if fd is not None and self._selector is not None:
@@ -373,7 +380,8 @@ class EventEngine(ExecutionEngine):
                     finished.append(element)
                     continue
                 try:
-                    if self._ready(element):
+                    verdict = pump_verdict(element)
+                    if verdict is READY:
                         self._gated.discard(element)
                         self._resume_selectable_fd(element)
                         self._metric_pumps += 1
@@ -383,7 +391,7 @@ class EventEngine(ExecutionEngine):
                         # listeners, so follow-on work lands back in the
                         # dirty set by itself.
                     else:
-                        self._park(element)
+                        self._park(element, verdict)
                 except Exception:  # noqa: BLE001 - a dying element (teardown
                     pass           # races on its streams) must not kill the
                                    # scheduler; pump reports via element.error
@@ -458,54 +466,24 @@ class EventEngine(ExecutionEngine):
         return min(self._heartbeat_s,
                    max(self._timers[0][0] - time.monotonic(), 0.0))
 
-    def _ready(self, element) -> bool:
-        """Decide whether pumping ``element`` would make progress right now."""
-        if element.stop_requested:
-            return True
-        if element.held:
-            return False
-        if element.pending_output:
-            # Parked output can only move once the DOS is reattached.
-            return element.dos.connected
-        if element.wants_input_pump():
-            return not self._backpressured(element)
-        return False
-
-    def _park(self, element) -> None:
+    def _park(self, element, verdict: str) -> None:
         """File a not-ready element wherever its wake-up will come from.
 
         Cross-element conditions (downstream high-water, output parked
         across a splice) go to the every-round ``_gated`` set; a paced
         source between items goes on the timer heap; everything else is
-        left alone — its own stream, hold or stop notification re-marks it.
+        left alone — its own stream, socket, hold or stop notification
+        re-marks it.
         """
-        if element.stop_requested:
+        if verdict is IDLE:
+            # Waiting for input: a socket-backed source must be on the
+            # selector for that (it may have been suspended while held).
+            self._resume_selectable_fd(element)
+            due = element.next_due_s()
+            if due is not None:
+                self._timer_seq += 1
+                heapq.heappush(self._timers, (due, self._timer_seq, element))
             return
-        if element.held:
-            self._suspend_selectable_fd(element)
-            return
-        if element.pending_output:
-            self._gated.add(element)  # waiting on a reattach in the splice
-            self._suspend_selectable_fd(element)
-            return
-        if element.wants_input_pump():
-            if self._backpressured(element):
-                self._gated.add(element)
-                self._suspend_selectable_fd(element)
-            return
-        due = element.next_due_s()
-        if due is not None:
-            self._timer_seq += 1
-            heapq.heappush(self._timers, (due, self._timer_seq, element))
-
-    @staticmethod
-    def _backpressured(element) -> bool:
-        """True while the element's downstream buffer is at/over capacity."""
-        dos = element.dos
-        if not dos.connected:
-            return False  # one transform will park in _pending; that's fine
-        sink = dos.sink
-        if sink is None:
-            return False
-        capacity = sink.buffer.capacity
-        return capacity is not None and sink.available() >= capacity
+        if verdict is GATED:
+            self._gated.add(element)
+        self._suspend_selectable_fd(element)

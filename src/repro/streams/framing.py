@@ -49,15 +49,14 @@ def encode_frames(payloads: "List[bytes]") -> bytes:
 class FrameDecoder:
     """Incremental frame decoder.
 
-    Feed arbitrary byte chunks with :meth:`feed`; complete payloads come out
-    of :meth:`packets` (or are returned directly by ``feed``).  The decoder
-    tolerates frames split across chunk boundaries, which is exactly what
+    Feed arbitrary byte chunks with :meth:`feed`, which returns the
+    payloads each chunk completes and keeps only the partial frame.  The
+    decoder tolerates frames split across chunk boundaries, which is exactly what
     happens when a byte-oriented filter sits between two packet filters.
     """
 
     def __init__(self) -> None:
         self._pending = bytearray()
-        self._ready: List[bytes] = []
         self.frames_decoded = 0
         self.bytes_consumed = 0
 
@@ -72,7 +71,6 @@ class FrameDecoder:
             if payload is None:
                 break
             out.append(payload)
-        self._ready.extend(out)
         return out
 
     def _try_extract(self) -> Optional[bytes]:
@@ -92,9 +90,14 @@ class FrameDecoder:
         return payload
 
     def packets(self) -> List[bytes]:
-        """Return and clear all decoded-but-unclaimed payloads."""
-        out, self._ready = self._ready, []
-        return out
+        """Return the decoded-but-unclaimed payloads: always none.
+
+        :meth:`feed` hands every payload to its caller and retains nothing
+        (retaining them too grew a framed stream by one payload per packet,
+        for ever, since no consumer claimed them here).  Kept callable for
+        code written against the retaining decoder.
+        """
+        return []
 
     @property
     def pending_bytes(self) -> int:

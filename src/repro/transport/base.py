@@ -102,8 +102,14 @@ class DatagramReceiver(ABC):
 
     # -- delivery (transport-facing) ------------------------------------------
 
-    def _deliver(self, payload: bytes) -> None:
-        """Queue one arrived payload and fire the readiness hooks."""
+    def _deliver(self, payload: bytes, notify: bool = True) -> None:
+        """Queue one arrived payload and fire the readiness hooks.
+
+        ``notify=False`` skips the listeners: for receivers whose payloads
+        only ever "arrive" inside the consumer's own drain (UDP), where the
+        hook would tell the consumer what it is in the middle of finding
+        out — and cost it another look.
+        """
         with self._cond:
             if self._closed:
                 return
@@ -117,7 +123,8 @@ class DatagramReceiver(ABC):
                 self.on_receive(payload)
             except Exception:  # noqa: BLE001 - receiver faults must not spread
                 pass
-        self._fire_listeners()
+        if notify:
+            self._fire_listeners()
 
     def _mark_eof(self) -> None:
         """Record that no further datagram will ever arrive (idempotent)."""
@@ -175,6 +182,16 @@ class DatagramReceiver(ABC):
         """True when no payload will ever be readable again."""
         with self._cond:
             return (self._eof or self._closed) and not self._queue
+
+    def readable(self) -> bool:
+        """True when :meth:`poll` would yield a payload or end-of-stream.
+
+        The one question a cooperative consumer asks per scheduler look —
+        ``pending() > 0 or at_eof()`` in a single step, which socket-backed
+        receivers answer with at most one drain.
+        """
+        with self._cond:
+            return bool(self._queue) or self._eof or self._closed
 
     def selectable_fileno(self) -> Optional[int]:
         """A selectable file descriptor signalling readiness, if any.

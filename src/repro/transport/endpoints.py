@@ -69,7 +69,15 @@ class TransportSource(SourceEndPoint):
 
     def wants_input_pump(self) -> bool:
         """True when queued payloads (or EOF) make a pump worthwhile."""
-        return self.receiver.pending() > 0 or self.receiver.at_eof()
+        return self.receiver.readable()
+
+    def _starved_wakeup_armed(self) -> bool:
+        """Arrivals re-mark this source, so an empty look need not.
+
+        Queue-backed receivers fire the ``subscribe`` hook on delivery;
+        socket-backed ones sit on the engine's level-triggered selector.
+        """
+        return True
 
     # -- production ------------------------------------------------------------
 
@@ -78,13 +86,16 @@ class TransportSource(SourceEndPoint):
         if self.cooperative:
             # Never block: emit a queued payload, EOF, or nothing (b"" is
             # skipped by the pump and the engine re-parks us until the
-            # receiver's hooks report new readiness).
-            payload = self.receiver.poll()
+            # receiver's hooks report new readiness).  readable() is the
+            # only step that may touch the socket, and only on an empty
+            # queue; poll() after it finds the queue already filled.
+            receiver = self.receiver
+            if not receiver.readable():
+                return b""
+            payload = receiver.poll()
             if payload is not None:
                 return payload
-            if self.receiver.at_eof():
-                return None
-            return b""
+            return None if receiver.at_eof() else b""
         while not self._stop_event.is_set():
             try:
                 return self.receiver.recv(timeout=self.poll_interval_s)

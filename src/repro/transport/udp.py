@@ -21,12 +21,13 @@ frame header whose length field is ``0xFFFFFFFF`` — above
 ``MAX_FRAME_SIZE`` and therefore unambiguous — sent to every member when
 the channel closes, the datagram analogue of a TCP FIN.
 
-Receivers are non-blocking sockets drained opportunistically: ``poll`` /
-``pending`` / ``at_eof`` pull whatever the kernel has buffered into the
-receiver's queue, ``recv`` blocks in :func:`select.select`, and
-``selectable_fileno`` exposes the fd so the event engine parks the receiver
-on its selector — many UDP streams, one scheduler thread, no per-socket
-threads.
+Receivers are non-blocking sockets drained opportunistically into the
+receiver's queue.  ``pending`` / ``take`` / ``recv`` drain first, always;
+``poll`` / ``at_eof`` / ``readable`` drain only when the queue is empty —
+with payloads queued their answer cannot change, so they skip the syscall.
+``recv`` blocks in :func:`select.select`, and ``selectable_fileno`` exposes
+the fd so the event engine parks the receiver on its selector — many UDP
+streams, one scheduler thread, no per-socket threads.
 
 The stream service is TCP: ``listen``/``connect`` return
 :class:`TcpStreamListener`/:class:`TcpStreamConnection`, the objects the
@@ -71,9 +72,9 @@ MAX_DATAGRAM_PAYLOAD = 60 * 1024
 
 UdpAddress = Tuple[str, int]
 
-#: Receive-ring geometry: datagrams land via ``recvfrom_into`` in
-#: preallocated slots (no 64 KiB allocation per datagram) and the payload
-#: is copied out exactly once, at its real size, before the slot is reused.
+#: Receive-ring geometry: datagrams land in preallocated slots (no 64 KiB
+#: allocation per datagram) and the payload is copied out exactly once, at
+#: its real size, before the slot is reused.
 _RING_SLOTS = 8
 _RING_SLOT_SIZE = 65535
 
@@ -119,9 +120,13 @@ class UdpReceiver(DatagramReceiver):
         self._socket = sock
         self.address: UdpAddress = sock.getsockname()
         self.framing_errors = 0
+        #: Receive syscalls attempted (``recvmmsg`` or ``recvfrom_into``,
+        #: data or ``EAGAIN`` alike); over ``packets_received`` it is the
+        #: syscalls-per-datagram ratio ``/metrics`` exposes.
+        self.receive_syscalls = 0
         # Allocated lazily on the first drain: channel members that only
         # ever send (remote registrations) never pay for the ring.
-        self._ring: Optional[List[bytearray]] = None
+        self._ring: Optional[_vectored.RecvRing] = None
         self._ring_index = 0
         # Vectored (recvmmsg) batch receives, mirroring the channel's
         # sendmmsg path: cleared permanently on a DISABLE_ERRNOS errno.
@@ -145,8 +150,11 @@ class UdpReceiver(DatagramReceiver):
             self.framing_errors += 1
             return
         # Exact-size copy: the queued payload must outlive the ring slot,
-        # which is reused on the next lap.
-        self._deliver(bytes(memoryview(buf)[HEADER_SIZE:nbytes]))
+        # which is reused on the next lap.  No listener call: data
+        # readiness is the fd's business (selectable_fileno); the hooks
+        # carry EOF and close.
+        self._deliver(bytes(memoryview(buf)[HEADER_SIZE:nbytes]),
+                      notify=False)
 
     def _drain_socket(self) -> None:
         """Pull every kernel-buffered datagram into the receiver queue.
@@ -160,28 +168,31 @@ class UdpReceiver(DatagramReceiver):
         """
         ring = self._ring
         if ring is None:
-            ring = self._ring = [bytearray(_RING_SLOT_SIZE)
-                                 for _ in range(_RING_SLOTS)]
+            ring = self._ring = _vectored.RecvRing(_RING_SLOTS,
+                                                   _RING_SLOT_SIZE)
+        buffers = ring.buffers
         while self._vectored_recv:
             # Batch path: every payload is copied out by _parse_slot before
             # the next call reuses the ring.
-            try:
-                lengths, error = _vectored.recv_batch(self._socket, ring)
-            except OSError:
-                return  # socket closed under us: EOF state already recorded
+            self.receive_syscalls += 1
+            lengths, error = ring.recv(self._socket)
             for slot, nbytes in enumerate(lengths):
-                self._parse_slot(ring[slot], nbytes)
+                self._parse_slot(buffers[slot], nbytes)
             if error is not None:
                 if error.errno in _vectored.DISABLE_ERRNOS:
                     # recvmmsg can never work here; stop paying for the
                     # doomed syscall and drain per-datagram from now on.
                     self._vectored_recv = False
                     break
-                return  # transient: whatever remains waits for the next drain
-            if len(lengths) < len(ring):
+                # Transient, or the socket was closed under us (EBADF; EOF
+                # state already recorded): what remains waits for the next
+                # drain.
+                return
+            if len(lengths) < _RING_SLOTS:
                 return  # kernel queue drained
         while True:
-            buf = ring[self._ring_index]
+            buf = buffers[self._ring_index]
+            self.receive_syscalls += 1
             try:
                 nbytes, _sender = self._socket.recvfrom_into(
                     buf, _RING_SLOT_SIZE)
@@ -192,11 +203,17 @@ class UdpReceiver(DatagramReceiver):
             self._ring_index = (self._ring_index + 1) % _RING_SLOTS
             self._parse_slot(buf, nbytes)
 
-    # -- host-facing API (drain-first variants) --------------------------------
+    # -- host-facing API -------------------------------------------------------
+    #
+    # With payloads queued, the next payload, "not at EOF" and "readable"
+    # are already decided, so poll/at_eof/readable only pay the drain
+    # syscall on an empty queue.  pending/take/recv report *everything*
+    # received so far and therefore always drain first.
 
     def poll(self) -> Optional[bytes]:
-        """Drain the socket, then return the next payload (non-blocking)."""
-        self._drain_socket()
+        """Return the next payload (non-blocking), draining if none queued."""
+        if not self._queue:
+            self._drain_socket()
         return super().poll()
 
     def pending(self) -> int:
@@ -205,9 +222,16 @@ class UdpReceiver(DatagramReceiver):
         return super().pending()
 
     def at_eof(self) -> bool:
-        """Drain the socket, then report end-of-stream."""
-        self._drain_socket()
+        """Report end-of-stream, draining first unless payloads are queued."""
+        if not self._queue:
+            self._drain_socket()
         return super().at_eof()
+
+    def readable(self) -> bool:
+        """True when a payload is queued or this is EOF; one drain at most."""
+        if not self._queue:
+            self._drain_socket()
+        return super().readable()
 
     def take(self) -> List[bytes]:
         """Drain the socket, then return everything delivered so far."""
@@ -278,6 +302,8 @@ class UdpChannel(DatagramChannel):
         # Cleared permanently the first time the syscall reports an errno
         # that means "never going to work here" (see vectored.DISABLE_ERRNOS).
         self._vectored = _vectored.available()
+        # The sendmmsg header pool, built by the first batch that needs it.
+        self._send_pool: Optional[_vectored.SendPool] = None
         if multicast_group is not None:
             self._send_socket.setsockopt(socket.IPPROTO_IP,
                                          socket.IP_MULTICAST_TTL,
@@ -425,8 +451,10 @@ class UdpChannel(DatagramChannel):
         for address in destinations:
             start = 0
             if self._vectored:
-                done, error = _vectored.send_batch(self._send_socket,
-                                                   address, wires)
+                pool = self._send_pool
+                if pool is None:
+                    pool = self._send_pool = _vectored.SendPool()
+                done, error = pool.send(self._send_socket, address, wires)
                 for i in range(done):
                     reached[i] += 1
                 start = done

@@ -8,13 +8,17 @@ Python's stdlib exposes neither, so this module binds both with ctypes:
 
 * :func:`available` — True when the ``sendmmsg`` symbol was found *and*
   the ``REPRO_UDP_VECTORED`` kill-switch is not set to ``0``;
-* :func:`send_batch` — transmit many pre-framed datagrams to one IPv4
-  address, returning ``(frames_sent, error)`` so a caller can continue a
-  partially transmitted batch over the plain ``sendto`` loop without ever
-  re-sending a frame (UDP duplicates would corrupt a byte stream);
-* :func:`recv_available` / :func:`recv_batch` — the receive-side pair:
-  fill a caller-owned ring of buffers with up to one datagram each,
-  returning ``(lengths, error)``.
+* :class:`SendPool` — a channel's ``sendmmsg`` header pool, built once:
+  :meth:`SendPool.send` transmits many pre-framed datagrams to one IPv4
+  address writing only ``iov_base``/``iov_len`` per frame, and returns
+  ``(frames_sent, error)`` so a caller can continue a partially
+  transmitted batch over the plain ``sendto`` loop without ever re-sending
+  a frame (UDP duplicates would corrupt a byte stream);
+* :func:`recv_available` / :class:`RecvRing` — the receive-side pair: a
+  receiver's ring of datagram slots whose ``iovec``/``mmsghdr`` arrays are
+  built once and pinned for the ring's life, so :meth:`RecvRing.recv` is
+  one ``recvmmsg`` and nothing else — an empty socket costs one syscall
+  returning ``EAGAIN`` — returning ``(lengths, error)``.
 
 Callers classify the returned errno: values in :data:`DISABLE_ERRNOS` mean
 the host cannot do vectored I/O at all (disable permanently, stop paying
@@ -32,6 +36,7 @@ import errno as _errno
 import os
 import socket
 import sys
+import threading
 from typing import List, Optional, Sequence, Tuple
 
 #: Environment kill-switch: ``REPRO_UDP_VECTORED=0`` forces the plain
@@ -51,15 +56,20 @@ DISABLE_ERRNOS = frozenset({
     _errno.EINVAL,
 })
 
-#: Datagrams per ``sendmmsg`` call.  The kernel caps a call at UIO_MAXIOV
-#: (1024) messages; 64 matches the largest pump budgets upstream while
-#: keeping the header arrays small enough to build cheaply.
+#: Datagrams per ``sendmmsg`` call (the send pool's size).  The kernel caps
+#: a call at UIO_MAXIOV (1024) messages; 64 matches the largest pump budgets
+#: upstream.
 MAX_BATCH = 64
 
 
 class _iovec(ctypes.Structure):
+    # c_char_p, not c_void_p: assigning a ``bytes`` object stores the address
+    # of its buffer (and a reference pinning it) in one attribute write —
+    # the send pool's whole per-frame cost.  Frame length comes from
+    # iov_len, so embedded NULs are irrelevant; the receive ring assigns a
+    # plain integer address.
     _fields_ = [
-        ("iov_base", ctypes.c_void_p),
+        ("iov_base", ctypes.c_char_p),
         ("iov_len", ctypes.c_size_t),
     ]
 
@@ -140,107 +150,137 @@ def recv_available() -> bool:
             and os.environ.get(VECTORED_ENV_VAR, "1") != "0")
 
 
-def send_batch(
-    sock: socket.socket,
-    address: Tuple[str, int],
-    frames: Sequence[bytes],
-) -> Tuple[int, Optional[OSError]]:
-    """Transmit pre-framed datagrams to one IPv4 address, batched.
+def _os_error(err: int) -> OSError:
+    return OSError(err, os.strerror(err))
 
-    Returns ``(sent, error)``: the number of leading frames fully handed to
-    the kernel, and the ``OSError`` that stopped the batch (``None`` when
-    every frame went out).  The caller resumes from ``frames[sent:]`` on its
-    fallback path — no frame is ever transmitted twice from here.
+
+def _header_array(count: int):
+    """``count`` single-iovec message headers, wired once.
+
+    Returns ``(headers, iovecs, header_views, iovec_views)``: the two
+    ctypes arrays handed to the kernel, plus per-slot element views so the
+    data path reads ``msg_len`` / writes ``iov_base`` without creating a
+    ctypes object per access.
     """
-    addr = _sockaddr_in()
-    addr.sin_family = socket.AF_INET
-    addr.sin_port = socket.htons(address[1])
-    ctypes.memmove(addr.sin_addr, socket.inet_aton(address[0]), 4)
-    addr_ptr = ctypes.cast(ctypes.pointer(addr), ctypes.c_void_p)
-    addr_len = ctypes.sizeof(addr)
-
-    fd = sock.fileno()
-    total = len(frames)
-    done = 0
-    while done < total:
-        count = min(MAX_BATCH, total - done)
-        iovecs = (_iovec * count)()
-        headers = (_mmsghdr * count)()
-        # The bytes objects (and their c_char_p wrappers) must stay alive
-        # until the syscall returns; the list pins them.
-        keepalive: List[Tuple[bytes, ctypes.c_char_p]] = []
-        for i in range(count):
-            frame = frames[done + i]
-            if not isinstance(frame, bytes):
-                frame = bytes(frame)
-            buf = ctypes.c_char_p(frame)
-            keepalive.append((frame, buf))
-            iovecs[i].iov_base = ctypes.cast(buf, ctypes.c_void_p)
-            iovecs[i].iov_len = len(frame)
-            hdr = headers[i].msg_hdr
-            hdr.msg_name = addr_ptr
-            hdr.msg_namelen = addr_len
-            hdr.msg_iov = ctypes.pointer(iovecs[i])
-            hdr.msg_iovlen = 1
-        sent = _sendmmsg(fd, headers, count, 0)
-        if sent < 0:
-            err = ctypes.get_errno()
-            if err == _errno.EINTR:
-                continue
-            return done, OSError(err, os.strerror(err))
-        if sent == 0:
-            # Defensive: zero progress from a blocking socket would spin.
-            err = _errno.EAGAIN
-            return done, OSError(err, os.strerror(err))
-        done += sent
-    return done, None
-
-
-def recv_batch(
-    sock: socket.socket,
-    buffers: Sequence[bytearray],
-) -> Tuple[List[int], Optional[OSError]]:
-    """Receive up to ``len(buffers)`` datagrams in one syscall.
-
-    Each received datagram lands in the corresponding caller-owned buffer
-    (truncated to the buffer size, like ``recvfrom_into``).  Returns
-    ``(lengths, error)``: the byte count of each datagram received, and
-    the ``OSError`` that stopped the call — ``None`` both for a full batch
-    and for a cleanly drained kernel queue (``EAGAIN`` on a non-blocking
-    socket is "no more data", not an error).  Sender addresses are not
-    captured (``msg_name`` NULL): the UDP transport identifies streams by
-    frame content, not peer address, and skipping the copy is free speed.
-
-    The caller must copy each payload out before reusing the buffers, the
-    same contract as the scalar ``recvfrom_into`` ring.
-    """
-    count = len(buffers)
-    if count == 0:
-        return [], None
     iovecs = (_iovec * count)()
     headers = (_mmsghdr * count)()
-    # from_buffer shares each bytearray's memory with the iovec — received
-    # bytes appear in the caller's ring slots with no extra copy.  The
-    # c_char array views must stay alive until the syscall returns.
-    keepalive = []
-    for i in range(count):
-        view = (ctypes.c_char * len(buffers[i])).from_buffer(buffers[i])
-        keepalive.append(view)
-        iovecs[i].iov_base = ctypes.cast(view, ctypes.c_void_p)
-        iovecs[i].iov_len = len(buffers[i])
-        hdr = headers[i].msg_hdr
-        hdr.msg_name = None
-        hdr.msg_namelen = 0
-        hdr.msg_iov = ctypes.pointer(iovecs[i])
-        hdr.msg_iovlen = 1
-    fd = sock.fileno()
-    while True:
-        received = _recvmmsg(fd, headers, count, 0, None)
-        if received < 0:
-            err = ctypes.get_errno()
-            if err == _errno.EINTR:
-                continue
-            if err in (_errno.EAGAIN, _errno.EWOULDBLOCK):
-                return [], None
-            return [], OSError(err, os.strerror(err))
-        return [headers[i].msg_len for i in range(received)], None
+    iovec_views = [iovecs[i] for i in range(count)]
+    header_views = [headers[i] for i in range(count)]
+    for view, iov in zip(header_views, iovec_views):
+        view.msg_hdr.msg_iov = ctypes.pointer(iov)
+        view.msg_hdr.msg_iovlen = 1
+    return headers, iovecs, header_views, iovec_views
+
+
+class SendPool:
+    """A channel's ``sendmmsg`` headers, built once and reused per batch.
+
+    Every header points at one shared ``sockaddr_in``, rewritten per
+    destination, so a batch costs two attribute writes per frame
+    (``iov_base``/``iov_len``) plus the syscall.  The pool is one channel's
+    shared state, so :meth:`send` serialises callers on a lock (several
+    sinks of a threaded proxy may share a channel).
+    """
+
+    def __init__(self) -> None:
+        self._addr = _sockaddr_in()
+        self._addr.sin_family = socket.AF_INET
+        (self._headers, self._iovecs,
+         header_views, self._iovec_views) = _header_array(MAX_BATCH)
+        for view in header_views:
+            view.msg_hdr.msg_name = ctypes.addressof(self._addr)
+            view.msg_hdr.msg_namelen = ctypes.sizeof(self._addr)
+        self._lock = threading.Lock()
+
+    def send(
+        self,
+        sock: socket.socket,
+        address: Tuple[str, int],
+        frames: Sequence[bytes],
+    ) -> Tuple[int, Optional[OSError]]:
+        """Transmit pre-framed ``bytes`` datagrams to one IPv4 address.
+
+        Returns ``(sent, error)``: the number of leading frames fully
+        handed to the kernel, and the ``OSError`` that stopped the batch
+        (``None`` when every frame went out).  The caller resumes from
+        ``frames[sent:]`` on its fallback path — no frame is ever
+        transmitted twice from here.
+        """
+        fd = sock.fileno()
+        total = len(frames)
+        done = 0
+        with self._lock:
+            addr = self._addr
+            addr.sin_port = socket.htons(address[1])
+            addr.sin_addr[:] = socket.inet_aton(address[0])
+            iovec_views = self._iovec_views
+            while done < total:
+                count = min(MAX_BATCH, total - done)
+                # Each assignment pins its frame in the array's _objects
+                # until the slot is next written, which outlives the call.
+                for i in range(count):
+                    frame = frames[done + i]
+                    iov = iovec_views[i]
+                    iov.iov_base = frame
+                    iov.iov_len = len(frame)
+                sent = _sendmmsg(fd, self._headers, count, 0)
+                if sent < 0:
+                    err = ctypes.get_errno()
+                    if err == _errno.EINTR:
+                        continue
+                    return done, _os_error(err)
+                if sent == 0:
+                    # Defensive: zero progress from a blocking socket
+                    # would spin.
+                    return done, _os_error(_errno.EAGAIN)
+                done += sent
+        return done, None
+
+
+class RecvRing:
+    """A receiver's ring of datagram slots with its ``recvmmsg`` headers.
+
+    ``buffers`` are the slots themselves (the scalar ``recvfrom_into``
+    fallback fills the same ones); the ``iovec``/``mmsghdr`` arrays over
+    them are built here, once, and the ``from_buffer`` views stay pinned
+    for the ring's life.  Sender addresses are not captured (``msg_name``
+    NULL): the UDP transport identifies streams by frame content, not peer
+    address, and skipping the copy is free speed.
+    """
+
+    def __init__(self, slots: int, slot_size: int) -> None:
+        self.buffers = [bytearray(slot_size) for _ in range(slots)]
+        # from_buffer shares each bytearray's memory with its iovec —
+        # received bytes appear in the slot with no extra copy.
+        self._pinned = [(ctypes.c_char * slot_size).from_buffer(buf)
+                        for buf in self.buffers]
+        (self._headers, self._iovecs,
+         self._header_views, iovec_views) = _header_array(slots)
+        for iov, pinned in zip(iovec_views, self._pinned):
+            iov.iov_base = ctypes.addressof(pinned)
+            iov.iov_len = slot_size
+
+    def recv(self, sock: socket.socket) -> Tuple[List[int], Optional[OSError]]:
+        """Receive up to one datagram per slot in one syscall.
+
+        Each datagram lands in ``buffers[i]`` (truncated to the slot size,
+        like ``recvfrom_into``).  Returns ``(lengths, error)``: the byte
+        count of each datagram received, and the ``OSError`` that stopped
+        the call — ``None`` both for a full ring and for a cleanly drained
+        kernel queue (``EAGAIN`` on a non-blocking socket is "no more
+        data", not an error).  The caller must copy each payload out
+        before the next call reuses the slots.
+        """
+        fd = sock.fileno()
+        while True:
+            received = _recvmmsg(fd, self._headers, len(self.buffers), 0,
+                                 None)
+            if received < 0:
+                err = ctypes.get_errno()
+                if err == _errno.EINTR:
+                    continue
+                if err in (_errno.EAGAIN, _errno.EWOULDBLOCK):
+                    return [], None
+                return [], _os_error(err)
+            views = self._header_views
+            return [views[i].msg_len for i in range(received)], None

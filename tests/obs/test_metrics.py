@@ -304,6 +304,38 @@ class TestFleetCollectors:
         assert receiver.packets_received == 1
         transport.close()
 
+    def test_channel_collector_reports_receive_syscalls_per_member(self):
+        """Syscalls per datagram is a /metrics ratio: both counters are
+        exported under the same channel/member labels."""
+        import time
+
+        from repro.transport import UdpTransport
+
+        transport = UdpTransport()
+        try:
+            channel = transport.open_channel("metrics-udp-chan")
+            receiver = channel.join("m1")
+            channel.send_many([b"a", b"b", b"c"])
+            deadline = time.monotonic() + 5.0
+            while receiver.pending() < 3 and time.monotonic() < deadline:
+                time.sleep(0.005)
+            families = {f.name: f for f in collect_channels()}
+
+            def for_member(name):
+                return {
+                    dict(pairs).get("member"): value
+                    for pairs, value in families[name].samples
+                    if dict(pairs).get("channel") == "metrics-udp-chan"
+                }
+
+            assert for_member(
+                "repro_transport_datagrams_received_total") == {"m1": 3}
+            syscalls = for_member("repro_transport_receive_syscalls_total")
+            assert syscalls == {"m1": receiver.receive_syscalls}
+            assert syscalls["m1"] >= 1
+        finally:
+            transport.close()
+
     def test_default_registry_is_singleton_with_collectors(self):
         registry = default_registry()
         assert registry is default_registry()

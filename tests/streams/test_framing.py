@@ -86,6 +86,30 @@ class TestFrameDecoder:
         decoder.feed(encode_frames([b"a", b"b", b"c"]))
         assert decoder.frames_decoded == 3
 
+    def test_feed_hands_payloads_over_and_keeps_none(self):
+        decoder = FrameDecoder()
+        assert decoder.feed(encode_frames([b"a", b"b"])) == [b"a", b"b"]
+        # Nothing is left to claim: feed() already returned them.
+        assert decoder.packets() == []
+        assert not decoder.has_partial_frame()
+
+    def test_a_long_framed_stream_does_not_grow_the_decoder(self):
+        """50 000 frames through a PacketFilter: the decoder behind it must
+        hold O(1) payloads, not one per packet ever decoded."""
+        from repro.core.filter import PacketFilter
+
+        filter_obj = PacketFilter()
+        payload = bytes(320)
+        batch = [encode_frames([payload] * 50)] * 10
+        for _ in range(100):
+            filter_obj.transform_chunks(batch, [])
+        decoder = filter_obj._decoder
+        assert decoder.frames_decoded == 50_000
+        # No container on the decoder holds anything between frames.
+        assert [len(value) for value in vars(decoder).values()
+                if hasattr(value, "__len__")] == [0]
+        assert decoder.packets() == []
+
 
 class TestFrameReaderWriter:
     def test_round_trip_over_pipe(self):
