@@ -3,8 +3,9 @@
 Every benchmark regenerates one of the paper's evaluation artifacts (or one
 of the quantitative claims made in the text), prints the resulting table to
 stdout (visible with ``pytest -s``) and also writes it under
-``benchmarks/results/`` so the numbers recorded in EXPERIMENTS.md can be
-re-derived after a run.
+``benchmarks/results/quick/`` so the numbers can be read back after a run.
+The committed tables in ``benchmarks/results/`` change only through
+``run_all.py --commit``, never as a side effect of a test run.
 """
 
 from __future__ import annotations
@@ -12,32 +13,28 @@ from __future__ import annotations
 import os
 from typing import Iterable, List
 
+#: The committed tables.  Nothing here writes them: ``run_all.py --commit``
+#: copies a finished full-mode run's tables in from the run directory.
 RESULTS_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "results")
 
-#: Quick (smoke) runs write under ``results/quick/`` so they can never
-#: clobber the committed full-mode tables in ``results/``.
+#: Where every run writes — pytest, ``run_all.py``, quick or full.  The
+#: directory is git-ignored, so no run dirties the tree.
 QUICK_RESULTS_DIR = os.path.join(RESULTS_DIR, "quick")
 
 
 def results_dir() -> str:
-    """Where tables land for this run (checked per call, not at import)."""
-    return QUICK_RESULTS_DIR if os.environ.get("REPRO_BENCH_QUICK") else RESULTS_DIR
+    """Where this run's tables land (created on demand)."""
+    os.makedirs(QUICK_RESULTS_DIR, exist_ok=True)
+    return QUICK_RESULTS_DIR
 
 
 def write_table(name: str, lines: Iterable[str]) -> str:
-    """Print a result table and persist it under ``benchmarks/results/``.
-
-    Full-mode runs write ``results/<name>.txt`` (the committed tables);
-    quick-mode runs (``REPRO_BENCH_QUICK=1``, as exported by
-    ``run_all.py --quick``) write ``results/quick/<name>.txt`` instead.
-    """
+    """Print a result table and persist it as ``results/quick/<name>.txt``."""
     rows: List[str] = list(lines)
     text = "\n".join(rows) + "\n"
     print()
     print(text, end="")
-    directory = results_dir()
-    os.makedirs(directory, exist_ok=True)
-    path = os.path.join(directory, f"{name}.txt")
+    path = os.path.join(results_dir(), f"{name}.txt")
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(text)
     return path

@@ -8,8 +8,12 @@ runs an FEC-audio chain to quiescence under the engine named by
 1. ``/healthz`` answers ``{"status": "ok"}``;
 2. ``/metrics`` parses under a promtool-style line grammar (every HELP /
    TYPE / sample line matches exposition format 0.0.4);
-3. the scrape's per-element byte and chunk totals equal the quiesced
-   chain's own ``ChainSnapshot`` counters, exactly.
+3. the scrape's per-element byte, chunk and packet totals equal the
+   quiesced chain's own ``ChainSnapshot`` counters, exactly;
+4. a framed FEC stream relayed over ``chaos:loopback`` reads the same —
+   ``repro_stream_*`` per element and ``repro_transport_*`` per channel —
+   whether a pump step moves a budget of packets or one: accounting per
+   batch must not drift from accounting per unit.
 
 Fails (exit 1) on any violation.  Run as:
 ``PYTHONPATH=src python benchmarks/check_metrics_endpoint.py``
@@ -25,10 +29,17 @@ import urllib.request
 
 os.environ.setdefault("REPRO_METRICS_ADDR", "127.0.0.1:0")
 
+import repro.core.filter as filter_module  # noqa: E402
+from repro.chaos import ChaosTransport, FaultPlan  # noqa: E402
 from repro.core import CollectorSink, IterableSource, Proxy  # noqa: E402
 from repro.filters import FecDecoderFilter, FecEncoderFilter  # noqa: E402
 from repro.media import AudioPacketizer, ToneSource  # noqa: E402
 from repro.obs.exporter import default_server  # noqa: E402
+from repro.transport import (  # noqa: E402
+    LoopbackTransport,
+    TransportSink,
+    TransportSource,
+)
 
 _HELP_RE = re.compile(r"^# HELP [a-zA-Z_:][a-zA-Z0-9_:]* .*$")
 _TYPE_RE = re.compile(
@@ -44,6 +55,22 @@ _LABEL_RE = re.compile(r'([a-zA-Z_][a-zA-Z0-9_]*)="((?:[^"\\]|\\.)*)"')
 _STAT_METRICS = (
     ("repro_stream_chunks_total", "chunks_in", "chunks_out"),
     ("repro_stream_bytes_total", "bytes_in", "bytes_out"),
+    ("repro_stream_packets_total", "packets_in", "packets_out"),
+)
+
+_TRANSPORT_METRICS = (
+    "repro_transport_datagrams_sent_total",
+    "repro_transport_bytes_sent_total",
+    "repro_transport_datagrams_received_total",
+)
+
+#: Faults by offset, so both relays see the same ones whatever their
+#: channel is called (a seeded draw is keyed by the channel name).
+_RELAY_PLAN = FaultPlan(
+    seed=1,
+    drop_offsets=(3, 17, 40),
+    duplicate_offsets=(5, 41),
+    reorder_offsets=(9, 64),
 )
 
 
@@ -107,37 +134,44 @@ def run_stream(engine_name: str, proxy_name: str):
     return proxy, control
 
 
+def check_snapshot(samples: dict, proxy_name: str, stream: str, snap) -> dict:
+    """Scraped per-element totals equal the snapshot's; returns them."""
+    elements = [("source", snap.source_stats)]
+    elements += list(zip(snap.filter_names, snap.filter_stats))
+    elements.append(("sink", snap.sink_stats))
+    totals = {}
+    for element_name, stats in elements:
+        for metric, in_key, out_key in _STAT_METRICS:
+            for direction, key in (("in", in_key), ("out", out_key)):
+                labels = frozenset(
+                    {
+                        "proxy": proxy_name,
+                        "stream": stream,
+                        "element": element_name,
+                        "direction": direction,
+                    }.items()
+                )
+                scraped = samples.get((metric, labels))
+                expected = stats[key]
+                assert scraped == expected, (
+                    f"{proxy_name}: {metric} {stream}/{element_name}/{direction} "
+                    f"scraped {scraped} != snapshot {expected}"
+                )
+                totals[(metric, stream, element_name, direction)] = scraped
+    return totals
+
+
 def check_engine(engine_name: str, base_url: str) -> int:
     proxy_name = f"obs-check-{engine_name}"
     proxy, control = run_stream(engine_name, proxy_name)
     try:
-        snap = control.snapshot()
         text = fetch(f"{base_url}/metrics").decode("utf-8")
         sample_count = validate_format(text)
-        samples = parse_samples(text)
-
-        elements = [("source", snap.source_stats)]
-        elements += list(zip(snap.filter_names, snap.filter_stats))
-        elements.append(("sink", snap.sink_stats))
-        checked = 0
-        for element_name, stats in elements:
-            for metric, in_key, out_key in _STAT_METRICS:
-                for direction, key in (("in", in_key), ("out", out_key)):
-                    labels = frozenset(
-                        {
-                            "proxy": proxy_name,
-                            "stream": "audio",
-                            "element": element_name,
-                            "direction": direction,
-                        }.items()
-                    )
-                    scraped = samples.get((metric, labels))
-                    expected = stats[key]
-                    assert scraped == expected, (
-                        f"{engine_name}: {metric} {element_name}/{direction} "
-                        f"scraped {scraped} != snapshot {expected}"
-                    )
-                    checked += 1
+        checked = len(
+            check_snapshot(
+                parse_samples(text), proxy_name, "audio", control.snapshot()
+            )
+        )
         print(
             f"{engine_name:>8}: {sample_count} samples valid, "
             f"{checked} totals match the chain snapshot"
@@ -145,6 +179,89 @@ def check_engine(engine_name: str, base_url: str) -> int:
         return checked
     finally:
         proxy.shutdown()
+
+
+def run_relay(engine_name: str, base_url: str, pump_budget: int) -> dict:
+    """FEC(6,4) over ``chaos:loopback`` at one pump budget; scraped totals.
+
+    The elements are built while ``DEFAULT_PUMP_BUDGET`` reads
+    ``pump_budget`` (it is resolved at construction), so a budget of one is
+    the per-unit relay and the default is the batched one.
+    """
+    packets = AudioPacketizer(
+        ToneSource(duration=0.8), packet_duration_ms=20
+    ).packet_list()
+    proxy_name = f"obs-relay-{engine_name}-{pump_budget}"
+    channel_name = f"relay-{engine_name}-{pump_budget}"
+    transport = ChaosTransport(LoopbackTransport(), _RELAY_PLAN)
+    default_budget = filter_module.DEFAULT_PUMP_BUDGET
+    filter_module.DEFAULT_PUMP_BUDGET = pump_budget
+    try:
+        proxy = Proxy(proxy_name, engine=engine_name, transport=transport)
+        channel = proxy.open_channel(channel_name)
+        receiver = channel.join("decoder-side")
+        rx = proxy.add_stream(
+            TransportSource(receiver, name="src"),
+            CollectorSink(name="sink", expect_frames=True),
+            name="rx",
+            auto_start=False,
+        )
+        rx.add(FecDecoderFilter(name="fec-dec"))
+        tx = proxy.add_stream(
+            IterableSource(
+                [p.pack() for p in packets], name="src", frame_output=True
+            ),
+            TransportSink(channel, name="sink"),
+            name="tx",
+            auto_start=False,
+        )
+        tx.add(FecEncoderFilter(k=4, n=6, name="fec-enc", start_group_id=0))
+    finally:
+        filter_module.DEFAULT_PUMP_BUDGET = default_budget
+    try:
+        rx.start()
+        tx.start()
+        assert tx.wait_for_completion(timeout=30.0), "tx did not quiesce"
+        assert rx.wait_for_completion(timeout=30.0), "rx did not quiesce"
+        samples = parse_samples(fetch(f"{base_url}/metrics").decode("utf-8"))
+        totals = {}
+        for stream, control in (("tx", tx), ("rx", rx)):
+            totals.update(
+                check_snapshot(samples, proxy_name, stream, control.snapshot())
+            )
+        for (metric, labels), value in samples.items():
+            if metric in _TRANSPORT_METRICS:
+                labels = dict(labels)
+                if labels.get("channel") == channel_name:
+                    key = (metric, labels["transport"], labels.get("member"))
+                    totals[key] = value
+        delivered = rx.sink.items()
+        assert len(delivered) == len(packets), "FEC did not absorb the plan"
+        return totals
+    finally:
+        proxy.shutdown()
+        transport.close()
+
+
+def check_relay(engine_name: str, base_url: str) -> int:
+    batched = run_relay(engine_name, base_url, filter_module.DEFAULT_PUMP_BUDGET)
+    per_unit = run_relay(engine_name, base_url, 1)
+    assert sorted(map(str, batched)) == sorted(map(str, per_unit))
+    # The chaos wrapper and the loopback channel under it each report
+    # datagrams and bytes sent and what their one member received.
+    transport_totals = [key for key in batched if key[0] in _TRANSPORT_METRICS]
+    assert len(transport_totals) == 6, transport_totals
+    assert all(batched[key] > 0 for key in transport_totals), batched
+    for key, value in batched.items():
+        assert value == per_unit[key], (
+            f"{engine_name}: {key} reads {value} after the batched relay, "
+            f"{per_unit[key]} after the per-unit one"
+        )
+    print(
+        f"{engine_name:>8}: {len(batched)} relay totals match the chain "
+        f"snapshots and read the same per batch as per unit"
+    )
+    return len(batched)
 
 
 def main() -> int:
@@ -165,6 +282,7 @@ def main() -> int:
 
     for engine_name in engines:
         check_engine(engine_name, base_url)
+        check_relay(engine_name, base_url)
     print("OK: /metrics format valid and consistent with chain snapshots")
     return 0
 

@@ -5,15 +5,17 @@ Each ``test_bench_*.py`` file is executed in its own pytest process so one
 broken benchmark cannot take the rest down.  With ``--quick`` the benchmarks
 run in smoke mode: pytest-benchmark timing rounds are disabled and
 ``REPRO_BENCH_QUICK=1`` is exported so sweeps that honour it (see
-``test_bench_fec_backends.py``) trim their configuration grids, and result
-tables land in ``benchmarks/results/quick/`` so the committed full-mode
-tables in ``benchmarks/results/`` are never clobbered by a smoke run.  CI
-runs the quick mode as a non-blocking job so the perf harness cannot
-silently rot.
+``test_bench_fec_backends.py``) trim their configuration grids.  CI runs the
+quick mode as a non-blocking job so the perf harness cannot silently rot.
+
+Every run's tables land in the git-ignored ``benchmarks/results/quick/``.
+The committed tables in ``benchmarks/results/`` change only with an explicit
+``--commit``: after a full-mode run in which every benchmark passed, the
+tables that run wrote are copied over the committed ones.
 
 Usage::
 
-    python benchmarks/run_all.py [--quick] [--pattern GLOB]
+    python benchmarks/run_all.py [--quick | --commit] [--pattern GLOB]
 """
 
 from __future__ import annotations
@@ -21,9 +23,12 @@ from __future__ import annotations
 import argparse
 import glob
 import os
+import shutil
 import subprocess
 import sys
 import time
+
+from benchutil import QUICK_RESULTS_DIR, RESULTS_DIR
 
 BENCH_DIR = os.path.dirname(os.path.abspath(__file__))
 REPO_ROOT = os.path.dirname(BENCH_DIR)
@@ -48,6 +53,17 @@ def run_one(path: str, quick: bool) -> "tuple[bool, float]":
     return result.returncode == 0, time.perf_counter() - start
 
 
+def commit_tables(written_since: float) -> "list[str]":
+    """Copy the tables written since ``written_since`` over the committed ones."""
+    committed = []
+    for name in sorted(os.listdir(QUICK_RESULTS_DIR)):
+        path = os.path.join(QUICK_RESULTS_DIR, name)
+        if os.path.isfile(path) and os.path.getmtime(path) >= written_since:
+            shutil.copyfile(path, os.path.join(RESULTS_DIR, name))
+            committed.append(name)
+    return committed
+
+
 def main(argv: "list[str] | None" = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -56,12 +72,20 @@ def main(argv: "list[str] | None" = None) -> int:
         help="smoke mode: disable timing rounds and trim sweep grids",
     )
     parser.add_argument(
+        "--commit",
+        action="store_true",
+        help="after a full run with no failure, update the committed tables",
+    )
+    parser.add_argument(
         "--pattern",
         default="test_bench_*.py",
         help="glob (relative to benchmarks/) selecting which benchmarks to run",
     )
     args = parser.parse_args(argv)
+    if args.commit and args.quick:
+        parser.error("--commit publishes full-mode tables; drop --quick")
 
+    started = time.time()
     paths = discover(args.pattern)
     if not paths:
         print(f"no benchmarks match {args.pattern!r}", file=sys.stderr)
@@ -79,11 +103,13 @@ def main(argv: "list[str] | None" = None) -> int:
 
     mode = " (quick mode)" if args.quick else ""
     print(f"{len(paths) - len(failures)}/{len(paths)} benchmarks passed{mode}")
-    results = os.path.join("benchmarks", "results", "quick" if args.quick else "")
-    print(f"result tables: {os.path.normpath(results)}/")
+    print(f"result tables: {os.path.relpath(QUICK_RESULTS_DIR, REPO_ROOT)}/")
     if failures:
         print("failed:", ", ".join(failures), file=sys.stderr)
         return 1
+    if args.commit:
+        committed = commit_tables(started)
+        print(f"committed to {os.path.relpath(RESULTS_DIR, REPO_ROOT)}/:", *committed)
     return 0
 
 

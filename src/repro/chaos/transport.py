@@ -61,10 +61,6 @@ class DatagramFaultInjector:
         """Datagrams seen so far (the offset of the *next* send)."""
         return self._index
 
-    def _triggered(self, draw: float, probability: float,
-                   offsets: Tuple[int, ...], offset: int) -> bool:
-        return offset in offsets or (probability > 0.0 and draw < probability)
-
     def process(self, payload: bytes):
         """Decide one datagram's fate.
 
@@ -77,16 +73,13 @@ class DatagramFaultInjector:
         self._index += 1
         # Fixed draw order, consumed whether or not each fault triggers:
         # changing one probability never shifts another fault's sequence.
-        draws = (self._rng.random(), self._rng.random(),
-                 self._rng.random(), self._rng.random())
-        drop = self._triggered(draws[0], plan.drop_p,
-                               plan.drop_offsets, offset)
-        duplicate = self._triggered(draws[1], plan.duplicate_p,
-                                    plan.duplicate_offsets, offset)
-        reorder = self._triggered(draws[2], plan.reorder_p,
-                                  plan.reorder_offsets, offset)
-        corrupt = self._triggered(draws[3], plan.corrupt_p,
-                                  plan.corrupt_offsets, offset)
+        # (A draw is in [0, 1), so a zero probability never triggers.)
+        draw = self._rng.random
+        drop = draw() < plan.drop_p or offset in plan.drop_offsets
+        duplicate = (draw() < plan.duplicate_p
+                     or offset in plan.duplicate_offsets)
+        reorder = draw() < plan.reorder_p or offset in plan.reorder_offsets
+        corrupt = draw() < plan.corrupt_p or offset in plan.corrupt_offsets
 
         delay_s = plan.delay_s
         faults: List[Tuple[str, int]] = []
@@ -146,6 +139,8 @@ class ChaosChannel(DatagramChannel):
         self._injector = DatagramFaultInjector(plan, inner.name)
         self._send_lock = threading.Lock()
         self._counter = _fault_counter()
+        # The plan is frozen: its event text is rendered once, not per fault.
+        self._plan_text = plan.describe()
 
     # -- membership (delegated) ------------------------------------------------
 
@@ -168,35 +163,59 @@ class ChaosChannel(DatagramChannel):
         for action, offset in faults:
             self._counter.labels(action=action).inc()
             log.emit(EVENT_CHAOS_FAULT, channel=self.name, action=action,
-                     offset=offset, plan=self.plan.describe())
+                     offset=offset, plan=self._plan_text)
+
+    def _forward(self, outbox: List[bytes]) -> int:
+        """Hand the decided survivors to the inner channel, accounted."""
+        if not outbox:
+            return 0
+        delivered = self.inner.send_many(outbox)
+        self.packets_sent += len(outbox)
+        self.bytes_sent += sum(map(len, outbox))
+        return delivered
 
     def send(self, data: bytes) -> int:
+        # One datagram is a batch of one; it targeted the membership.
+        return len(self.members()) if self.send_many((data,)) else 0
+
+    def send_many(self, payloads) -> int:
+        """Decide the whole batch under one lock hold, forward it as one.
+
+        The injector sees the datagrams one by one, so the draw order, the
+        fault events and the counters are those of a loop of :meth:`send`;
+        only the survivors travel together, through one inner
+        ``send_many``.  A delay or stall first flushes what is already
+        decided, so wire order and timing are kept.  Returns the payloads
+        that reached (or, dropped or held back, targeted) a member.
+        """
+        survivors = silenced = forwarded = 0
+        outbox: List[bytes] = []
         with self._send_lock:
-            sends, faults, delay_s = self._injector.process(data)
-            self._record_faults(faults)
-            if delay_s > 0:
-                time.sleep(delay_s)
-            targeted = 0
-            for payload in sends:
-                targeted = max(targeted, self.inner.send(payload))
-                self._account(len(payload))
+            process = self._injector.process
+            for payload in payloads:
+                sends, faults, delay_s = process(payload)
+                if faults:
+                    self._record_faults(faults)
+                if delay_s > 0:
+                    forwarded += self._forward(outbox)
+                    outbox = []
+                    time.sleep(delay_s)
+                if sends:
+                    survivors += 1
+                    outbox.extend(sends)
+                else:
+                    silenced += 1
+            forwarded += self._forward(outbox)
         # A dropped datagram still "targeted" the membership — callers use
         # the return value for fan-out accounting, not delivery receipts.
-        return targeted if sends else len(self.members())
+        if silenced and not self.members():
+            silenced = 0
+        return min(survivors, forwarded) + silenced
 
     def send_to(self, member: str, data: bytes) -> bool:
         # Unicast is the repair/control path (e.g. FEC retransmissions);
         # chaos applies to the broadcast data plane only.
         return self.inner.send_to(member, data)
-
-    def send_many(self, payloads) -> int:
-        # Per-payload faults: the vectored fast path re-splits here by
-        # design — chaos runs measure behaviour, not throughput.
-        delivered = 0
-        for payload in payloads:
-            if self.send(payload) > 0:
-                delivered += 1
-        return delivered
 
     # -- lifecycle -------------------------------------------------------------
 

@@ -21,11 +21,13 @@ from time import monotonic as _monotonic
 from typing import Callable, Iterable, Iterator, List, Optional
 
 from ..streams import (
+    HEADER_SIZE,
     BrokenStreamError,
     FrameDecoder,
     NotConnectedError,
     StreamClosedError,
     encode_frame,
+    encode_frame_batch,
 )
 from .filter import Filter
 
@@ -96,7 +98,8 @@ class SourceEndPoint(EndPoint):
         backlog is indexable (:class:`IterableSource` over a materialised
         list) override this so a whole batch is drawn as one slice.  A
         short or empty return does *not* signal exhaustion — the next
-        :meth:`produce` call decides that.
+        :meth:`produce` call decides that.  The returned list is the
+        caller's to extend.
         """
         return None
 
@@ -108,14 +111,25 @@ class SourceEndPoint(EndPoint):
             return item  # queued by reference, per the buffer's contract
         return bytes(item)
 
-    def _deliver_batch(self, batch: List[bytes], last_item: bytes) -> None:
+    def _encode_many(self, items: List[bytes]) -> List[bytes]:
+        """The wire forms of a drawn batch, in one pass.
+
+        Empty items are skipped, as per-item draws skip them; the dominant
+        all-bytes unframed case passes the items through by reference.
+        """
+        if 0 in map(len, items):
+            items = [item for item in items if len(item)]
+        if self.frame_output:
+            return encode_frame_batch(items)
+        if all(map(isinstance, items, _REPEAT_BYTES_LIKE)):
+            return items
+        return [item if isinstance(item, (bytes, bytearray, memoryview))
+                else bytes(item) for item in items]
+
+    def _deliver_batch(self, batch: List[bytes]) -> None:
         """Write an accumulated batch downstream with per-batch accounting."""
         self.dos.write_many(batch)
-        self._last_emitted = last_item
-        self.items_produced += len(batch)
-        self.stats.record_output_batch(
-            sum(map(len, batch)), len(batch),
-            packets=len(batch) if self.frame_output else 0)
+        self._record_emit_batch(batch)
         self._notify_activity()
 
     def _run(self) -> None:  # replaces the read loop: sources have no input
@@ -145,7 +159,7 @@ class SourceEndPoint(EndPoint):
                     # cooperative mode.
                     self._maybe_hold(data)
                     self.dos.write(data)
-                    self._last_emitted = item
+                    self._last_emitted = data
                     self.items_produced += 1
                     self.stats.record_output(len(data),
                                              packets=1 if self.frame_output else 0)
@@ -157,28 +171,13 @@ class SourceEndPoint(EndPoint):
                 # items and deliver them in one batched write, so the DOS
                 # lock and the downstream wakeup are paid once per batch.
                 batch = [self._encode(item)]
-                last_item = item
                 try:
                     more = (self.produce_many(self.pump_budget - 1)
                             if self.pump_budget > 1 else None)
                     if more is not None:
-                        # Bulk draw: encode the slice in one pass (empty
-                        # items are skipped, as per-item draws do).  The
-                        # dominant all-bytes case extends at C speed.
+                        # Bulk draw: the slice is encoded in one pass.
                         if more:
-                            last_item = more[-1]
-                            if self.frame_output:
-                                batch.extend(encode_frame(i)
-                                             for i in more if len(i))
-                            elif (all(map(isinstance, more, _REPEAT_BYTES_LIKE))
-                                  and 0 not in map(len, more)):
-                                batch.extend(more)
-                            else:
-                                batch.extend(
-                                    i if isinstance(i, (bytes, bytearray,
-                                                        memoryview))
-                                    else bytes(i)
-                                    for i in more if len(i))
+                            batch.extend(self._encode_many(more))
                     else:
                         while (len(batch) < self.pump_budget
                                and not self._stop_event.is_set()):
@@ -189,17 +188,16 @@ class SourceEndPoint(EndPoint):
                             if not item:
                                 break
                             batch.append(self._encode(item))
-                            last_item = item
                 except Exception:
                     # produce() failing mid-batch must not discard the items
                     # before it — the per-item path delivered each of those
                     # before erroring, and so do we.
                     try:
-                        self._deliver_batch(batch, last_item)
+                        self._deliver_batch(batch)
                     except Exception:  # noqa: BLE001 - keep the original error
                         pass
                     raise
-                self._deliver_batch(batch, last_item)
+                self._deliver_batch(batch)
             if not self._stop_event.is_set() and self.propagate_eof:
                 self._close_output()
         except (StreamClosedError, BrokenStreamError, NotConnectedError) as exc:
@@ -238,17 +236,33 @@ class SourceEndPoint(EndPoint):
                 self._notify_engine()
             return progress
         budget = 1 if self.pacing_s else self.pump_budget
-        queued = starved = False
-        for _ in range(budget):
-            item = None if self._exhausted else self.produce()
-            if item is None:
-                self._exhausted = True
-                break
-            if not item:
-                starved = True  # nothing available right now (receivers)
-                break
-            self._pending.append(self._encode(item))
-            queued = True
+        starved = False
+        items: List[bytes] = []
+        try:
+            if not self._exhausted:
+                drawn = self.produce_many(budget)
+                if drawn is None:
+                    draws = budget  # no bulk draw: item by item
+                else:
+                    items = drawn
+                    # A short draw decides nothing: one produce() tells
+                    # "nothing right now" from end of input.
+                    draws = 1 if len(items) < budget else 0
+                for _ in range(draws):
+                    item = self.produce()
+                    if item is None:
+                        self._exhausted = True
+                        break
+                    if not item:
+                        starved = True  # nothing available right now (receivers)
+                        break
+                    items.append(item)
+        finally:
+            # Parked even when a produce() raised mid-draw: pump()'s error
+            # handler flushes the items before it, as per-item emits did.
+            if items:
+                self._pending.extend(self._encode_many(items))
+        queued = bool(items)
         if queued:
             self._flush_pending()
         if self._exhausted and not self._pending:
@@ -286,7 +300,7 @@ class SourceEndPoint(EndPoint):
         return None
 
     def _record_emit(self, data: bytes) -> None:
-        self._last_emitted = self._boundary_unit(data)
+        self._last_emitted = data
         self.items_produced += 1
         self.stats.record_output(len(data),
                                  packets=1 if self.frame_output else 0)
@@ -299,18 +313,21 @@ class SourceEndPoint(EndPoint):
             self._next_due = base + self.pacing_s
 
     def _record_emit_batch(self, batch) -> None:
-        # Per-unit, not per-batch: each emit advances the pacing deadline
-        # and the produced-item count, which must stay unit-exact.
-        for data in batch:
-            self._record_emit(data)
+        if self.pacing_s:
+            # Per unit: each emit advances the pacing deadline.
+            for data in batch:
+                self._record_emit(data)
+            return
+        self._last_emitted = batch[-1]
+        self.items_produced += len(batch)
+        self.stats.record_output_batch(
+            sum(map(len, batch)), len(batch),
+            packets=len(batch) if self.frame_output else 0)
 
     def _boundary_unit(self, unit: bytes) -> bytes:
         """Boundary predicates see the produced item, not its framing."""
-        if self.frame_output:
-            from ..streams.framing import HEADER_SIZE
-
-            if len(unit) >= HEADER_SIZE:
-                return unit[HEADER_SIZE:]
+        if self.frame_output and len(unit) >= HEADER_SIZE:
+            return unit[HEADER_SIZE:]
         return unit
 
 
@@ -474,11 +491,7 @@ class SinkEndPoint(EndPoint):
         budget of packets in one call.  Stats match the per-chunk path.
         """
         if self.expect_frames:
-            packets = []
-            for chunk in chunks:
-                self._batch_in_bytes += len(chunk)
-                self._batch_in_chunks += 1
-                packets.extend(self._sink_decoder.feed(chunk))
+            packets = self._deframe_batch(self._sink_decoder, chunks)
             if packets:
                 self.stats.record_input_batch(0, len(packets),
                                               packets=len(packets))

@@ -38,6 +38,7 @@ from typing import Callable, Deque, Iterable, List, Optional, Union
 
 from ..streams import (
     DEFAULT_CAPACITY,
+    HEADER_SIZE,
     BrokenStreamError,
     DetachableInputStream,
     DetachableOutputStream,
@@ -46,6 +47,7 @@ from ..streams import (
     StreamClosedError,
     StreamTimeoutError,
     encode_frame,
+    encode_frame_batch,
 )
 from .errors import FilterStateError
 from .stats import FilterStats
@@ -411,6 +413,22 @@ class Filter:
                     outputs.append(result)
             elif result is not None:
                 outputs.extend(self._normalize_outputs(result))
+
+    def _deframe_batch(self, decoder: FrameDecoder,
+                       chunks: List[bytes]) -> List[bytes]:
+        """Decode an input batch in one frame pass, accounting its chunks.
+
+        The decoder's own counters say what it consumed, so a bad frame
+        stopping it mid-batch accounts the chunks up to and including that
+        one — as feeding and counting chunk by chunk did.
+        """
+        bytes_before = decoder.bytes_consumed
+        chunks_before = decoder.chunks_consumed
+        try:
+            return decoder.feed_many(chunks)
+        finally:
+            self._batch_in_bytes += decoder.bytes_consumed - bytes_before
+            self._batch_in_chunks += decoder.chunks_consumed - chunks_before
 
     def finalize(self) -> TransformResult:
         """Produce trailing output when the input stream ends."""
@@ -869,11 +887,7 @@ class PacketFilter(Filter):
         if not self.fused_packet_batch:
             super().transform_chunks(chunks, outputs)
             return
-        packets: List[bytes] = []
-        for chunk in chunks:
-            self._batch_in_bytes += len(chunk)
-            self._batch_in_chunks += 1
-            packets.extend(self._decoder.feed(chunk))
+        packets = self._deframe_batch(self._decoder, chunks)
         if not packets:
             return
         # Per-packet accounting is record_input(0, packets=1) per packet,
@@ -885,17 +899,20 @@ class PacketFilter(Filter):
         return self._frame_all(self.finalize_packets())
 
     def _frame_all(self, result: "PacketFilter.PacketResult") -> List[bytes]:
+        """Frame a packet result, accounted once for the whole of it."""
         if result is None:
             return []
         if isinstance(result, (bytes, bytearray, memoryview)):
             packets: List[bytes] = [bytes(result)]
+            framed = [encode_frame(packets[0])]
         else:
             packets = [bytes(item) for item in result]
-        framed = []
-        for packet in packets:
-            self._last_packet = packet
-            self.stats.record_output(0, packets=1)
-            framed.append(encode_frame(packet))
+            if not packets:
+                return packets
+            framed = encode_frame_batch(packets)
+        self._last_packet = packets[-1]
+        # Per packet this was record_output(0, packets=1), chunks_out too.
+        self.stats.record_output_batch(0, len(packets), packets=len(packets))
         return framed
 
     def is_idle(self) -> bool:
@@ -903,8 +920,6 @@ class PacketFilter(Filter):
 
     def _boundary_unit(self, unit: bytes) -> bytes:
         """Strip the frame header so predicates see the packet payload."""
-        from ..streams.framing import HEADER_SIZE
-
         return unit[HEADER_SIZE:] if len(unit) >= HEADER_SIZE else unit
 
 

@@ -15,6 +15,7 @@ whatever data packets did arrive, so FEC can only improve delivery.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from typing import Dict, List, Sequence, Tuple, Union
 
 import numpy as np
@@ -260,6 +261,7 @@ class FecGroupDecoder:
         if max_tracked_groups < 1:
             raise ValueError("max_tracked_groups must be >= 1")
         self._groups: Dict[int, _GroupState] = {}
+        self._group_ids: List[int] = []  # min-heap of the tracked ids
         self._max_tracked = max_tracked_groups
         self._backend = resolve_backend(backend)
         self._codes: Dict[Tuple[int, int], BlockErasureCode] = {}
@@ -292,10 +294,7 @@ class FecGroupDecoder:
 
         state = self._groups.get(packet.group_id)
         if state is None:
-            state = _GroupState(k=packet.k, n=packet.n)
-            self._groups[packet.group_id] = state
-            self.stats.groups_seen += 1
-            self._evict_if_needed()
+            state = self._track(packet)
         if state.delivered:
             return []
         if packet.k != state.k or packet.n != state.n:
@@ -332,10 +331,7 @@ class FecGroupDecoder:
                 self.stats.data_packets_in += 1
             state = self._groups.get(packet.group_id)
             if state is None:
-                state = _GroupState(k=packet.k, n=packet.n)
-                self._groups[packet.group_id] = state
-                self.stats.groups_seen += 1
-                self._evict_if_needed()
+                state = self._track(packet)
             if state.delivered:
                 continue
             if packet.k != state.k or packet.n != state.n:
@@ -468,13 +464,24 @@ class FecGroupDecoder:
             state.delivered = True
         return leftovers
 
-    def _evict_if_needed(self) -> None:
-        """Drop the oldest tracked groups when the table grows too large."""
+    def _track(self, packet: FecPacket) -> _GroupState:
+        """Start tracking the group of a first-seen packet, evicting the
+        smallest tracked group ids while the table is over its limit.
+
+        The heap holds exactly the table's keys (an id is pushed when its
+        entry is created and popped when it is evicted, and a re-appearing
+        id is a new entry), so its root is ``min()`` of the table in
+        O(log n) instead of a scan per new group.
+        """
+        state = _GroupState(k=packet.k, n=packet.n)
+        self._groups[packet.group_id] = state
+        heappush(self._group_ids, packet.group_id)
+        self.stats.groups_seen += 1
         while len(self._groups) > self._max_tracked:
-            oldest = min(self._groups)
-            state = self._groups.pop(oldest)
-            if not state.delivered and state.received:
+            evicted = self._groups.pop(heappop(self._group_ids))
+            if not evicted.delivered and evicted.received:
                 self.stats.groups_unrecoverable += 1
+        return state
 
     @property
     def pending_groups(self) -> int:

@@ -51,6 +51,7 @@ from .framing import (
     FrameReader,
     FrameWriter,
     encode_frame,
+    encode_frame_batch,
     encode_frames,
 )
 
@@ -74,6 +75,7 @@ __all__ = [
     "FrameReader",
     "FrameWriter",
     "encode_frame",
+    "encode_frame_batch",
     "encode_frames",
     "FRAME_MAGIC",
     "HEADER_SIZE",

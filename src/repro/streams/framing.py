@@ -17,7 +17,8 @@ detachable-stream plumbing:
 from __future__ import annotations
 
 import struct
-from typing import Iterator, List, Optional
+from collections import deque
+from typing import Deque, Iterator, List, Optional
 
 from .detachable import DetachableInputStream, DetachableOutputStream
 from .exceptions import FramingError, StreamTimeoutError
@@ -36,9 +37,22 @@ def encode_frame(payload: bytes) -> bytes:
     """Encode a payload into a single framed byte string."""
     if payload is None:
         raise ValueError("payload must be bytes, not None")
-    if len(payload) > MAX_FRAME_SIZE:
-        raise FramingError(f"frame of {len(payload)} bytes exceeds MAX_FRAME_SIZE")
-    return _HEADER.pack(FRAME_MAGIC, len(payload)) + bytes(payload)
+    length = len(payload)
+    if length > MAX_FRAME_SIZE:
+        raise FramingError(f"frame of {length} bytes exceeds MAX_FRAME_SIZE")
+    # One concatenation, one copy: bytes-like payloads (views included) are
+    # read through the buffer protocol, never materialised first.
+    return _HEADER.pack(FRAME_MAGIC, length) + payload
+
+
+def encode_frame_batch(payloads: "List[bytes]") -> "List[bytes]":
+    """Frame every payload of a batch: ``[encode_frame(p) for p in payloads]``,
+    with the size check run once over the batch."""
+    if payloads and max(map(len, payloads)) > MAX_FRAME_SIZE:
+        raise FramingError(
+            f"frame of {max(map(len, payloads))} bytes exceeds MAX_FRAME_SIZE")
+    pack = _HEADER.pack
+    return [pack(FRAME_MAGIC, len(payload)) + payload for payload in payloads]
 
 
 def encode_frames(payloads: "List[bytes]") -> bytes:
@@ -49,45 +63,96 @@ def encode_frames(payloads: "List[bytes]") -> bytes:
 class FrameDecoder:
     """Incremental frame decoder.
 
-    Feed arbitrary byte chunks with :meth:`feed`, which returns the
-    payloads each chunk completes and keeps only the partial frame.  The
-    decoder tolerates frames split across chunk boundaries, which is exactly what
-    happens when a byte-oriented filter sits between two packet filters.
+    Feed arbitrary byte chunks with :meth:`feed` (or a list of them with
+    :meth:`feed_many`), which returns the payloads each chunk completes and
+    keeps only the partial frame.  The decoder tolerates frames split across
+    chunk boundaries, which is exactly what happens when a byte-oriented
+    filter sits between two packet filters; while nothing is buffered,
+    frames are sliced straight out of the chunk that carries them and the
+    internal buffer is never touched.
     """
 
     def __init__(self) -> None:
         self._pending = bytearray()
         self.frames_decoded = 0
         self.bytes_consumed = 0
+        self.chunks_consumed = 0
 
     def feed(self, chunk: bytes) -> List[bytes]:
         """Add ``chunk`` and return the list of payloads completed by it."""
-        if chunk:
-            self._pending.extend(chunk)
-            self.bytes_consumed += len(chunk)
+        self.chunks_consumed += 1
+        self.bytes_consumed += len(chunk)
+        pending = self._pending
+        if pending:
+            pending.extend(chunk)
+            data = pending
+        else:
+            # Nothing buffered: parse the chunk in place and buffer only
+            # the partial frame it may end with.
+            data = chunk if chunk.__class__ is bytes else memoryview(chunk)
         out: List[bytes] = []
-        while True:
-            payload = self._try_extract()
-            if payload is None:
-                break
-            out.append(payload)
+        pos = 0
+        end = len(data)
+        try:
+            while end - pos >= HEADER_SIZE:
+                magic, length = _HEADER.unpack_from(data, pos)
+                if magic != FRAME_MAGIC:
+                    raise FramingError(
+                        f"bad frame magic 0x{magic:02x} (stream out of sync)")
+                if length > MAX_FRAME_SIZE:
+                    raise FramingError(
+                        f"frame length {length} exceeds MAX_FRAME_SIZE")
+                stop = pos + HEADER_SIZE + length
+                if stop > end:
+                    break
+                payload = data[pos + HEADER_SIZE:stop]
+                out.append(payload if payload.__class__ is bytes
+                           else bytes(payload))
+                pos = stop
+        finally:
+            # Also on a framing error: the frames before the bad one count
+            # and the bad frame stays buffered, as a per-frame parse leaves it.
+            self.frames_decoded += len(out)
+            if data is pending:
+                del pending[:pos]
+            elif pos < end:
+                pending.extend(data[pos:])
         return out
 
-    def _try_extract(self) -> Optional[bytes]:
-        if len(self._pending) < HEADER_SIZE:
-            return None
-        magic, length = _HEADER.unpack_from(self._pending, 0)
-        if magic != FRAME_MAGIC:
-            raise FramingError(
-                f"bad frame magic 0x{magic:02x} (stream out of sync)")
-        if length > MAX_FRAME_SIZE:
-            raise FramingError(f"frame length {length} exceeds MAX_FRAME_SIZE")
-        if len(self._pending) < HEADER_SIZE + length:
-            return None
-        payload = bytes(self._pending[HEADER_SIZE:HEADER_SIZE + length])
-        del self._pending[:HEADER_SIZE + length]
-        self.frames_decoded += 1
-        return payload
+    def feed_many(self, chunks: "List[bytes]") -> List[bytes]:
+        """Decode a batch of chunks: ``feed`` per chunk, concatenated.
+
+        The whole-frame path: while nothing is buffered, a ``bytes`` chunk
+        that is exactly one frame — what every packet writer hands over —
+        is validated and its payload taken with one slice.  Anything else
+        (a split frame, several frames in a chunk, a bad header, a view)
+        goes through :meth:`feed`, chunk by chunk, until the buffer is
+        empty again.
+        """
+        out: List[bytes] = []
+        append = out.append
+        unpack_from = _HEADER.unpack_from
+        pending = self._pending
+        whole = whole_bytes = 0
+        try:
+            for chunk in chunks:
+                if not pending and chunk.__class__ is bytes:
+                    size = len(chunk)
+                    if size >= HEADER_SIZE:
+                        magic, length = unpack_from(chunk)
+                        if (length == size - HEADER_SIZE
+                                and magic == FRAME_MAGIC
+                                and length <= MAX_FRAME_SIZE):
+                            append(chunk[HEADER_SIZE:])
+                            whole += 1
+                            whole_bytes += size
+                            continue
+                out.extend(self.feed(chunk))
+        finally:
+            self.frames_decoded += whole
+            self.bytes_consumed += whole_bytes
+            self.chunks_consumed += whole
+        return out
 
     def packets(self) -> List[bytes]:
         """Return the decoded-but-unclaimed payloads: always none.
@@ -148,7 +213,7 @@ class FrameReader:
     def __init__(self, dis: DetachableInputStream) -> None:
         self._dis = dis
         self._decoder = FrameDecoder()
-        self._queue: List[bytes] = []
+        self._queue: Deque[bytes] = deque()
         self.packets_read = 0
 
     @property
@@ -170,7 +235,7 @@ class FrameReader:
                 return None
             self._queue.extend(self._decoder.feed(chunk))
         self.packets_read += 1
-        return self._queue.pop(0)
+        return self._queue.popleft()
 
     def read_all(self, timeout: Optional[float] = None) -> List[bytes]:
         """Drain the stream to end-of-stream and return every payload."""

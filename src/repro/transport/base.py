@@ -126,6 +126,30 @@ class DatagramReceiver(ABC):
         if notify:
             self._fire_listeners()
 
+    def _deliver_many(self, payloads: List[bytes]) -> None:
+        """Queue a batch of arrived payloads, in order.
+
+        One condition acquire, one queue extend and one listener fire for
+        the batch; counters and ``on_receive`` (still called per payload)
+        are as a loop of :meth:`_deliver` leaves them.
+        """
+        with self._cond:
+            if self._closed:
+                return
+            if self.queue_payloads:
+                self._queue.extend(payloads)
+            self.packets_received += len(payloads)
+            self.bytes_received += sum(map(len, payloads))
+            self._cond.notify_all()
+        on_receive = self.on_receive
+        if on_receive is not None:
+            for payload in payloads:
+                try:
+                    on_receive(payload)
+                except Exception:  # noqa: BLE001 - receiver faults must not spread
+                    pass
+        self._fire_listeners()
+
     def _mark_eof(self) -> None:
         """Record that no further datagram will ever arrive (idempotent)."""
         with self._cond:
@@ -141,6 +165,21 @@ class DatagramReceiver(ABC):
         """Return the next payload without blocking, or None if none queued."""
         with self._cond:
             return self._queue.popleft() if self._queue else None
+
+    def poll_many(self, max_items: int) -> List[bytes]:
+        """Surrender up to ``max_items`` queued payloads, in order.
+
+        Never blocks and takes the lock once; what does not fit stays
+        queued for the next call.
+        """
+        with self._cond:
+            queue = self._queue
+            if len(queue) <= max_items:
+                items = list(queue)
+                queue.clear()
+                return items
+            popleft = queue.popleft
+            return [popleft() for _ in range(max_items)]
 
     def recv(self, timeout: Optional[float] = None) -> Optional[bytes]:
         """Return the next payload, blocking up to ``timeout`` seconds.

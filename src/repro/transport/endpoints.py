@@ -22,7 +22,7 @@ Execution-engine integration:
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional
 
 from ..core.endpoints import SinkEndPoint, SourceEndPoint
 from .base import DatagramChannel, DatagramReceiver, TransportTimeoutError
@@ -102,6 +102,19 @@ class TransportSource(SourceEndPoint):
             except TransportTimeoutError:
                 continue
         return None
+
+    def produce_many(self, max_items: int) -> Optional[List[bytes]]:
+        """Take up to a budget of queued payloads: one look, one lock hold.
+
+        Cooperative only — the dedicated thread blocks in :meth:`produce`.
+        ``readable()`` is again the only step that may touch the socket.
+        """
+        if not self.cooperative:
+            return None
+        receiver = self.receiver
+        if not receiver.readable():
+            return []
+        return receiver.poll_many(max_items)
 
     def stop(self, timeout: float = 5.0) -> None:
         """Stop producing and detach from the receiver's readiness hook."""

@@ -90,6 +90,27 @@ class LoopbackChannel(DatagramChannel):
             receiver._deliver(data)
         return len(receivers)
 
+    def send_many(self, payloads) -> int:
+        """Enqueue a batch at every member; returns payloads delivered.
+
+        The membership is taken once and each member receives the batch
+        whole — one lock hold and one readiness notification per member,
+        in the order (and with the counters and the send-after-close
+        error) of a loop of :meth:`send`.
+        """
+        batch = list(map(bytes, payloads))
+        if not batch:
+            return 0
+        with self._lock:
+            if self._closed:
+                raise TransportError(f"channel {self.name!r}: send after close")
+            receivers = list(self._receivers.values())
+        self.packets_sent += len(batch)
+        self.bytes_sent += sum(map(len, batch))
+        for receiver in receivers:
+            receiver._deliver_many(batch)
+        return len(batch) if receivers else 0
+
     def send_to(self, member: str, data: bytes) -> bool:
         """Enqueue one datagram at a single member; True when it exists."""
         with self._lock:

@@ -216,6 +216,12 @@ class UdpReceiver(DatagramReceiver):
             self._drain_socket()
         return super().poll()
 
+    def poll_many(self, max_items: int) -> List[bytes]:
+        """Up to ``max_items`` payloads, draining first if none is queued."""
+        if not self._queue:
+            self._drain_socket()
+        return super().poll_many(max_items)
+
     def pending(self) -> int:
         """Drain the socket, then count the unread payloads."""
         self._drain_socket()

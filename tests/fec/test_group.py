@@ -1,5 +1,7 @@
 """Unit tests for FEC group encoding/decoding and the packet wire format."""
 
+import random
+
 import pytest
 
 from repro.fec import (
@@ -222,6 +224,48 @@ class TestGroupDecoder:
             packets = encoder.add(f"g{i}-0".encode()) + encoder.add(f"g{i}-1".encode())
             decoder.add(packets[0])  # only one packet per group: never decodable
         assert decoder.pending_groups <= 2
+
+    @pytest.mark.parametrize("batched", [False, True], ids=["add", "add_batch"])
+    def test_eviction_picks_the_smallest_tracked_id(self, batched):
+        """The victims are ``min()`` of the table, whatever the arrival order:
+        ids out of order, an id re-appearing after its eviction, one that is
+        itself the smallest on arrival — replayed against a plain model."""
+        rng = random.Random(7)
+        ids = [rng.randrange(40) for _ in range(400)]
+        ids += list(range(100, 60, -1)) + [3, 3, 250, 2, 1, 0, 251]
+        limit = 5
+        packets = [FecPacket(group_id=group_id, index=rng.randrange(2), k=2,
+                             n=3, payload=pad_block(b"x", 8))
+                   for group_id in ids]
+
+        decoder = FecGroupDecoder(max_tracked_groups=limit)
+        if batched:
+            decoder.add_batch(packets)
+        else:
+            for packet in packets:
+                decoder.add(packet)
+
+        # The model: a table, evicted by min() over its keys.
+        tracked, unrecoverable = {}, 0
+        for packet in packets:
+            state = tracked.get(packet.group_id)
+            if state is None:
+                state = tracked[packet.group_id] = {"got": set(),
+                                                    "done": False}
+                while len(tracked) > limit:
+                    victim = tracked.pop(min(tracked))
+                    if not victim["done"] and victim["got"]:
+                        unrecoverable += 1
+            if not state["done"]:
+                state["got"].add(packet.index)
+                if len(state["got"]) == 2:
+                    state["done"], state["got"] = True, set()
+
+        assert sorted(decoder._groups) == sorted(tracked)
+        assert sorted(decoder._group_ids) == sorted(tracked)
+        assert decoder.stats.groups_unrecoverable == unrecoverable > 0
+        assert decoder.pending_groups == sum(
+            1 for state in tracked.values() if not state["done"])
 
     def test_inconsistent_group_parameters_raise(self):
         decoder = FecGroupDecoder()

@@ -2,6 +2,7 @@
 
 import socket
 import threading
+import time
 
 import pytest
 
@@ -123,6 +124,21 @@ class TestUdpChannel:
         channel.send(b"wake")
         thread.join(timeout=5.0)
         assert got == [b"wake"]
+
+    def test_poll_many_drains_the_socket_and_keeps_the_rest(self, transport):
+        channel = transport.open_channel("c")
+        receiver = channel.join("a")
+        payloads = [bytes([i]) * 8 for i in range(5)]
+        assert channel.send_many(payloads) == 5
+        assert receiver.recv(timeout=2.0) == payloads[0]
+        got = []
+        deadline = time.monotonic() + 2.0
+        while len(got) < 4 and time.monotonic() < deadline:
+            batch = receiver.poll_many(2)
+            assert len(batch) <= 2
+            got.extend(batch)
+        assert got == payloads[1:]
+        assert receiver.poll_many(2) == []
 
     def test_duplicate_member_rejected(self, transport):
         channel = transport.open_channel("c")
