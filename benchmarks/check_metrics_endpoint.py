@@ -3,7 +3,7 @@
 
 Boots a proxy in-process with ``REPRO_METRICS_ADDR`` set (ephemeral port),
 runs an FEC-audio chain to quiescence under the engine named by
-``REPRO_ENGINE`` (default: both engines in sequence), then asserts:
+``REPRO_ENGINE`` (default: every engine in sequence), then asserts:
 
 1. ``/healthz`` answers ``{"status": "ok"}``;
 2. ``/metrics`` parses under a promtool-style line grammar (every HELP /
@@ -13,7 +13,11 @@ runs an FEC-audio chain to quiescence under the engine named by
 4. a framed FEC stream relayed over ``chaos:loopback`` reads the same —
    ``repro_stream_*`` per element and ``repro_transport_*`` per channel —
    whether a pump step moves a budget of packets or one: accounting per
-   batch must not drift from accounting per unit.
+   batch must not drift from accounting per unit;
+5. an unframed chain of four passthrough filters fed by a *generator*
+   reads the same at both budgets too, and every element's byte totals
+   equal the bytes generated: a batch's bytes are counted by the streams
+   it crosses, not summed by the filters, and must not drift either.
 
 Fails (exit 1) on any violation.  Run as:
 ``PYTHONPATH=src python benchmarks/check_metrics_endpoint.py``
@@ -32,7 +36,11 @@ os.environ.setdefault("REPRO_METRICS_ADDR", "127.0.0.1:0")
 import repro.core.filter as filter_module  # noqa: E402
 from repro.chaos import ChaosTransport, FaultPlan  # noqa: E402
 from repro.core import CollectorSink, IterableSource, Proxy  # noqa: E402
-from repro.filters import FecDecoderFilter, FecEncoderFilter  # noqa: E402
+from repro.filters import (  # noqa: E402
+    FecDecoderFilter,
+    FecEncoderFilter,
+    PassthroughFilter,
+)
 from repro.media import AudioPacketizer, ToneSource  # noqa: E402
 from repro.obs.exporter import default_server  # noqa: E402
 from repro.transport import (  # noqa: E402
@@ -264,10 +272,69 @@ def check_relay(engine_name: str, base_url: str) -> int:
     return len(batched)
 
 
+def run_passthrough(engine_name: str, base_url: str, pump_budget: int) -> dict:
+    """Generator -> 4 x PassthroughFilter -> sink, unframed; scraped totals."""
+    # Under 64 KiB in all, so no hop's buffer ever fills: a blocking write
+    # squeezed through a full buffer splits its chunk, and chunk counts
+    # would then depend on thread timing rather than on the budget.
+    sizes = [1 + (index * 37) % 400 for index in range(250)]
+    proxy_name = f"obs-bulk-{engine_name}-{pump_budget}"
+    default_budget = filter_module.DEFAULT_PUMP_BUDGET
+    filter_module.DEFAULT_PUMP_BUDGET = pump_budget
+    try:
+        proxy = Proxy(proxy_name, engine=engine_name)
+        control = proxy.add_stream(
+            # A generator, not a list: drawn a budget at a time all the same.
+            IterableSource(
+                (bytes([size % 251]) * size for size in sizes), name="src"
+            ),
+            CollectorSink(name="sink"),
+            name="bulk",
+            auto_start=False,
+        )
+        for index in range(4):
+            control.add(PassthroughFilter(name=f"pt-{index}"))
+    finally:
+        filter_module.DEFAULT_PUMP_BUDGET = default_budget
+    try:
+        control.start()
+        assert control.wait_for_completion(timeout=30.0), "bulk did not quiesce"
+        samples = parse_samples(fetch(f"{base_url}/metrics").decode("utf-8"))
+        totals = check_snapshot(samples, proxy_name, "bulk", control.snapshot())
+        for (metric, _stream, element, direction), value in totals.items():
+            if metric != "repro_stream_bytes_total":
+                continue
+            if (element, direction) in (("source", "in"), ("sink", "out")):
+                continue
+            assert value == sum(sizes), (
+                f"{proxy_name}: {element}/{direction} counted {value} bytes "
+                f"of the {sum(sizes)} generated"
+            )
+        return totals
+    finally:
+        proxy.shutdown()
+
+
+def check_passthrough(engine_name: str, base_url: str) -> int:
+    batched = run_passthrough(
+        engine_name, base_url, filter_module.DEFAULT_PUMP_BUDGET
+    )
+    per_unit = run_passthrough(engine_name, base_url, 1)
+    assert batched == per_unit, (
+        f"{engine_name}: unframed chain totals differ between budgets: "
+        f"{sorted(set(batched.items()) ^ set(per_unit.items()))}"
+    )
+    print(
+        f"{engine_name:>8}: {len(batched)} unframed-chain totals match the "
+        f"snapshots, the bytes generated, and each other at budget 64 and 1"
+    )
+    return len(batched)
+
+
 def main() -> int:
     engines = [os.environ["REPRO_ENGINE"]] if os.environ.get(
         "REPRO_ENGINE"
-    ) else ["threaded", "event"]
+    ) else ["threaded", "event", "asyncio"]
 
     # Booting the first proxy starts the env-selected default server.
     bootstrap = Proxy("obs-check-bootstrap")
@@ -283,6 +350,7 @@ def main() -> int:
     for engine_name in engines:
         check_engine(engine_name, base_url)
         check_relay(engine_name, base_url)
+        check_passthrough(engine_name, base_url)
     print("OK: /metrics format valid and consistent with chain snapshots")
     return 0
 

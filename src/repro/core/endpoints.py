@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import socket
 import threading
-from itertools import repeat as _repeat
+from itertools import islice
 from time import monotonic as _monotonic
 from typing import Callable, Iterable, Iterator, List, Optional
 
@@ -31,9 +31,9 @@ from ..streams import (
 )
 from .filter import Filter
 
-#: Infinite second argument for ``map(isinstance, items, ...)`` — the
-#: C-speed all-bytes-like batch check (same idiom as the stream buffer).
-_REPEAT_BYTES_LIKE = _repeat((bytes, bytearray, memoryview))
+#: The item types that go on the wire by reference; a drawn batch is
+#: screened against them in one C-speed pass (as in the stream buffer).
+_BYTES_LIKE_TYPES = frozenset((bytes, bytearray, memoryview))
 
 #: A pull-style source callback: returns the next chunk, or None at EOF.
 SourceCallable = Callable[[], Optional[bytes]]
@@ -94,12 +94,11 @@ class SourceEndPoint(EndPoint):
         """Produce up to ``max_items`` items in one call, or None.
 
         Returning None (the default) makes the run loop accumulate its
-        batch through per-item :meth:`produce` calls.  Sources whose
-        backlog is indexable (:class:`IterableSource` over a materialised
-        list) override this so a whole batch is drawn as one slice.  A
-        short or empty return does *not* signal exhaustion — the next
-        :meth:`produce` call decides that.  The returned list is the
-        caller's to extend.
+        batch through per-item :meth:`produce` calls.  Sources that can
+        draw a whole batch in one go (:class:`IterableSource`, a
+        cooperative ``TransportSource``) override this.  A short or empty
+        return does *not* signal exhaustion — the next :meth:`produce`
+        call decides that.  The returned list is the caller's to extend.
         """
         return None
 
@@ -117,19 +116,18 @@ class SourceEndPoint(EndPoint):
         Empty items are skipped, as per-item draws skip them; the dominant
         all-bytes unframed case passes the items through by reference.
         """
-        if 0 in map(len, items):
+        if not all(items):
             items = [item for item in items if len(item)]
         if self.frame_output:
             return encode_frame_batch(items)
-        if all(map(isinstance, items, _REPEAT_BYTES_LIKE)):
+        if _BYTES_LIKE_TYPES.issuperset(map(type, items)):
             return items
         return [item if isinstance(item, (bytes, bytearray, memoryview))
                 else bytes(item) for item in items]
 
     def _deliver_batch(self, batch: List[bytes]) -> None:
         """Write an accumulated batch downstream with per-batch accounting."""
-        self.dos.write_many(batch)
-        self._record_emit_batch(batch)
+        self._record_emit_batch(batch, self.dos.write_many(batch))
         self._notify_activity()
 
     def _run(self) -> None:  # replaces the read loop: sources have no input
@@ -312,7 +310,7 @@ class SourceEndPoint(EndPoint):
             base = self._next_due if self._next_due > 0.0 else _monotonic()
             self._next_due = base + self.pacing_s
 
-    def _record_emit_batch(self, batch) -> None:
+    def _record_emit_batch(self, batch, nbytes: int) -> None:
         if self.pacing_s:
             # Per unit: each emit advances the pacing deadline.
             for data in batch:
@@ -321,8 +319,7 @@ class SourceEndPoint(EndPoint):
         self._last_emitted = batch[-1]
         self.items_produced += len(batch)
         self.stats.record_output_batch(
-            sum(map(len, batch)), len(batch),
-            packets=len(batch) if self.frame_output else 0)
+            nbytes, len(batch), packets=len(batch) if self.frame_output else 0)
 
     def _boundary_unit(self, unit: bytes) -> bytes:
         """Boundary predicates see the produced item, not its framing."""
@@ -345,33 +342,33 @@ class IterableSource(SourceEndPoint):
     def __init__(self, items: Iterable[bytes], name: Optional[str] = None,
                  frame_output: bool = False, pacing_s: float = 0.0) -> None:
         super().__init__(name=name, frame_output=frame_output, pacing_s=pacing_s)
-        # A materialised backlog is drawn by index so produce_many can hand
-        # out whole slices; any other iterable is drained item by item.
-        self._items = items if isinstance(items, (list, tuple)) else None
-        self._pos = 0
-        self._iterator: Optional[Iterator[bytes]] = (
-            None if self._items is not None else iter(items))
+        # Ends — for good — at a None item as at exhaustion: the two mean
+        # the same to produce()'s callers.
+        self._iterator: Iterator[bytes] = iter(iter(items).__next__, None)
 
     def produce(self) -> Optional[bytes]:
-        if self._items is not None:
-            pos = self._pos
-            if pos >= len(self._items):
-                return None
-            self._pos = pos + 1
-            return self._items[pos]
-        try:
-            return next(self._iterator)
-        except StopIteration:
-            return None
+        return next(self._iterator, None)
 
-    def produce_many(self, max_items: int) -> Optional[List[bytes]]:
-        """One slice of the backlog when it is indexable (else None)."""
-        if self._items is None:
-            return None
-        pos = self._pos
-        batch = list(self._items[pos:pos + max_items])
-        self._pos = pos + len(batch)
-        return batch
+    def produce_many(self, max_items: int) -> List[bytes]:
+        """Draw up to ``max_items`` items at C speed, whatever the iterable.
+
+        The draw ends early at an empty item ("nothing right now"; the
+        item is dropped, as per-item draws drop it) and where the stream
+        ends.  If the iterator raises, the items drawn before it are
+        returned and the error surfaces from the next draw instead.
+        """
+        items: List[bytes] = []
+        try:
+            items.extend(islice(iter(self._iterator.__next__, b""), max_items))
+        except Exception as exc:  # noqa: BLE001 - re-raised by the next draw
+            self._iterator = _raising(exc)
+        return items
+
+
+def _raising(error: BaseException) -> Iterator[bytes]:
+    """An iterator whose first draw raises ``error`` (and then ends)."""
+    raise error
+    yield  # pragma: no cover - makes this a generator
 
 
 class CallableSource(SourceEndPoint):
@@ -497,12 +494,15 @@ class SinkEndPoint(EndPoint):
                                               packets=len(packets))
                 self.consume_many(packets)
         else:
-            # The whole batch is handed to consume_many at once, so it is
-            # accounted at once (a consume failing mid-batch was still
-            # *given* every chunk).
-            self._batch_in_bytes += sum(map(len, chunks))
-            self._batch_in_chunks += len(chunks)
-            self.consume_many(chunks)
+            try:
+                self.consume_many(chunks)
+            except Exception:
+                # The whole batch was handed to consume_many at once, so
+                # it is accounted at once (a consume failing mid-batch was
+                # still *given* every chunk).
+                self._batch_in_bytes += sum(map(len, chunks))
+                self._batch_in_chunks += len(chunks)
+                raise
 
     def finalize(self):
         self.eof_seen.set()

@@ -149,8 +149,8 @@ class Filter:
         self._finalized = False
 
         # Scratch counters written by transform_chunks as it consumes input,
-        # read by the run loop / pump in a ``finally`` so mid-batch errors
-        # account only the chunks actually handed to the transform.
+        # read by the run loop / pump only when the transform raises, so a
+        # mid-batch error accounts just the chunks the transform saw.
         self._batch_in_bytes = 0
         self._batch_in_chunks = 0
 
@@ -261,6 +261,10 @@ class Filter:
         self._resume.set()  # never leave a held filter stuck
         self._notify_engine()
         if self._thread is not None:
+            # A worker parked in its blocking read looks at the stop flag
+            # now rather than at its next read_timeout tick (which remains
+            # as the net under a wake-up lost to the race with this call).
+            self.dis.interrupt_read()
             self._thread.join(timeout=timeout)
         elif self._cooperative:
             self._finished.wait(timeout=timeout)
@@ -397,11 +401,13 @@ class Filter:
         The batched equivalent of calling :meth:`transform` per chunk, and
         the hook a subclass overrides to *fuse* work across the batch (the
         FEC filters run one vectorised encode/decode over every packet in
-        the pump budget instead of per-packet calls).  Implementations must
-        bump ``self._batch_in_bytes`` / ``self._batch_in_chunks`` as each
-        input chunk is consumed — the caller reads them in a ``finally`` so
-        a transform failing mid-batch accounts only the chunks it actually
-        saw, and the outputs appended so far are still delivered.
+        the pump budget instead of per-packet calls).  A batch that is
+        transformed whole is accounted by the caller, from the byte count
+        the DIS already keeps.  An implementation that can *raise*
+        mid-batch must bump ``self._batch_in_bytes`` /
+        ``self._batch_in_chunks`` as each input chunk is consumed: those
+        are what is accounted then — only the chunks it actually saw — and
+        the outputs appended so far are still delivered.
         """
         for chunk in chunks:
             self._batch_in_bytes += len(chunk)
@@ -488,6 +494,8 @@ class Filter:
                 try:
                     self.transform_chunks(chunks, outputs)
                 except Exception:
+                    self._record_input(self._batch_in_bytes,
+                                       self._batch_in_chunks)
                     # A transform failing mid-batch must not discard the
                     # outputs of the chunks before it — the per-chunk loop
                     # delivered those before erroring, and so do we.
@@ -496,15 +504,17 @@ class Filter:
                     except Exception:  # noqa: BLE001 - keep the original error
                         pass
                     raise
-                finally:
-                    self.stats.record_input_batch(self._batch_in_bytes,
-                                                  self._batch_in_chunks)
-                    if self._batch_in_chunks >= self.pump_budget:
-                        self.stats.record_budget_exhausted()
+                self._record_input(taken - self._input_done, len(chunks))
                 self._emit_units(outputs)
             finally:
                 self._input_done = taken
                 self._notify_activity()
+
+    def _record_input(self, nbytes: int, chunks: int) -> None:
+        """Account one input batch (or the part of it a transform saw)."""
+        self.stats.record_input_batch(nbytes, chunks)
+        if chunks >= self.pump_budget:
+            self.stats.record_budget_exhausted()
 
     # ------------------------------------------------------- cooperative pump
 
@@ -581,11 +591,13 @@ class Filter:
                     # flushes them downstream before closing — the same
                     # partial-delivery contract as the threaded loop.
                     self.transform_chunks(chunks, self._pending)
+                except Exception:
+                    self._record_input(self._batch_in_bytes,
+                                       self._batch_in_chunks)
+                    raise
+                else:
+                    self._record_input(taken - self._input_done, len(chunks))
                 finally:
-                    self.stats.record_input_batch(self._batch_in_bytes,
-                                                  self._batch_in_chunks)
-                    if self._batch_in_chunks >= self.pump_budget:
-                        self.stats.record_budget_exhausted()
                     # Outputs are parked on _pending by now, which keeps
                     # is_idle() False until they are flushed.
                     self._input_done = taken
@@ -627,12 +639,13 @@ class Filter:
                 # No hold armed: move the whole parked batch in one
                 # non-blocking, all-or-nothing delivery.
                 batch = list(self._pending)
+                before = self.dos.bytes_written
                 if not self.dos.try_write_many(batch):
                     return progress
                 if self._held.is_set():
                     self._held.clear()
                 self._pending.clear()
-                self._record_emit_batch(batch)
+                self._record_emit_batch(batch, self.dos.bytes_written - before)
                 progress = True
                 continue
             data = self._pending[0]
@@ -654,14 +667,15 @@ class Filter:
         self._last_emitted = data
         self.stats.record_output(len(data))
 
-    def _record_emit_batch(self, batch: List[bytes]) -> None:
+    def _record_emit_batch(self, batch: List[bytes], nbytes: int) -> None:
         """Account for a whole delivered batch with per-batch stats.
 
-        Sources override this to keep their per-unit bookkeeping (item
-        counts, pacing deadlines) exact.
+        ``nbytes`` is what the DOS counted while delivering it; the batch
+        is not measured again.  Sources override this to keep their
+        per-unit bookkeeping (item counts, pacing deadlines) exact.
         """
         self._last_emitted = batch[-1]
-        self.stats.record_output_batch(sum(map(len, batch)), len(batch))
+        self.stats.record_output_batch(nbytes, len(batch))
 
     def wants_input_pump(self) -> bool:
         """True when a pump step would have input-side work to do.
@@ -752,8 +766,7 @@ class Filter:
         with self._hold_lock:
             hold_armed = self._boundary_predicate is not None
         if not hold_armed and len(units) > 1:
-            self.dos.write_many(units)
-            self._record_emit_batch(units)
+            self._record_emit_batch(units, self.dos.write_many(units))
             return
         for data in units:
             self._maybe_hold(data)

@@ -26,8 +26,8 @@ class PassthroughFilter(Filter):
         # Identity fused over the batch: one extend instead of a per-chunk
         # transform() round-trip.  E6 measures the composition mechanism
         # through chains of this filter, so its hop cost is pure plumbing.
-        self._batch_in_bytes += sum(map(len, chunks))
-        self._batch_in_chunks += len(chunks)
+        # (It cannot fail mid-batch, so it keeps no tally of its own: the
+        # caller accounts the batch from the stream's byte count.)
         outputs.extend(chunks)
 
 

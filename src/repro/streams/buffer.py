@@ -33,9 +33,12 @@ Data-path design (the hot path of every chain hop):
   queued by reference, and downstream readers may alias it).  Readers
   receive either the writer's object or a read-only view of it and must
   treat it as immutable; see ``docs/ARCHITECTURE.md``.
-* **Batch APIs.**  :meth:`write_chunks` and :meth:`read_chunks` move many
-  queued chunks per lock acquisition, so a filter pump pays one lock
-  round-trip per *batch* instead of per chunk.
+* **Batch APIs.**  :meth:`write_chunks` queues the batch it was given *as
+  a batch* — the buffer's own copy of the list, measured once — and
+  :meth:`read_chunks` hands whole batches back as lists while they fit the
+  byte budget, so a hop costs per hand-over, not per chunk.  A batch is
+  opened chunk by chunk only for what is left of a budget, for ``read``,
+  ``max_chunk`` and ``peek``.
 * **Waiter-gated notifies.**  Every condition keeps a count of actual
   waiters and signals with ``notify()`` only when that count is non-zero,
   so the uncontended fast path never touches a waiter queue — the same
@@ -45,8 +48,9 @@ Data-path design (the hot path of every chain hop):
 from __future__ import annotations
 
 import threading
+from bisect import bisect_right
 from collections import deque
-from itertools import repeat as _repeat
+from itertools import chain
 from time import monotonic as _monotonic
 from typing import Deque, Iterable, List, Optional
 
@@ -55,19 +59,15 @@ from .exceptions import BrokenStreamError, StreamClosedError, StreamTimeoutError
 DEFAULT_CAPACITY = 64 * 1024
 
 #: The types queued by reference (anything else is materialised once on
-#: entry).  Kept as a tuple so the hot-path isinstance check is one call.
+#: entry).  Kept as a tuple so the hot-path isinstance check is one call,
+#: and as a set so a whole batch is screened by one C-speed pass.
 _BYTES_LIKE = (bytes, bytearray, memoryview)
+_BYTES_LIKE_TYPES = frozenset(_BYTES_LIKE)
 
 
 def _as_view(chunk) -> memoryview:
     """A memoryview over ``chunk``, reused as-is when it already is one."""
     return chunk if type(chunk) is memoryview else memoryview(chunk)
-
-
-#: Infinite second argument for ``map(isinstance, chunks, ...)`` — an
-#: all-bytes-like batch check that runs entirely in C.  A bare ``repeat``
-#: is stateless, so one shared instance serves every concurrent scan.
-_REPEAT_BYTES_LIKE = _repeat(_BYTES_LIKE)
 
 
 class StreamBuffer:
@@ -87,7 +87,17 @@ class StreamBuffer:
             raise ValueError("capacity must be positive or None")
         self._capacity = capacity
         self._name = name or "StreamBuffer"
+        # The queue, front to back: the open head (single chunks), then
+        # whole written batches, each the buffer's own list.  A batch's
+        # bytes are not stored: ``_marks`` holds ``_bytes_in`` as it stood
+        # when each batch was queued, so the running counters every write
+        # and read already keep give every size — including that of the
+        # last batch, onto which single chunks written behind it are
+        # appended (``_tail``) at the cost of a plain append.
         self._chunks: Deque[bytes] = deque()
+        self._batches: Deque[List[bytes]] = deque()
+        self._marks: Deque[int] = deque()
+        self._tail = self._chunks
         self._size = 0
         self._lock = threading.Lock()
         self._not_empty = threading.Condition(self._lock)
@@ -98,6 +108,7 @@ class StreamBuffer:
         self._readers_waiting = 0
         self._writers_waiting = 0
         self._drain_waiting = 0
+        self._read_interrupts = 0
         self._eof = False
         self._broken = False
         self._bytes_in = 0
@@ -177,21 +188,25 @@ class StreamBuffer:
                      force: bool = False) -> int:
         """Append many chunks under a single lock acquisition.
 
-        Each chunk is queued exactly as :meth:`write` would queue it (by
-        reference, preserving chunk identity for the aligned read path);
-        the blocking, timeout, closed and broken semantics are per chunk
-        and identical to :meth:`write`.  Returns the total bytes written.
+        The batch is queued *as a batch*: the buffer keeps its own copy of
+        the list (the writer may reuse or mutate its list afterwards; the
+        chunks themselves are handed over by reference, as with
+        :meth:`write`), and :meth:`read_chunks` hands it back whole.  On a
+        bounded buffer a batch that does not fit yet waits for room and
+        lands whole; one larger than the whole buffer is squeezed through
+        chunk by chunk, as :meth:`write` squeezes a chunk.  Timeout,
+        closed and broken semantics are those of :meth:`write`.  Returns
+        the total bytes written.
         """
         if not isinstance(chunks, (list, tuple)):
             chunks = list(chunks)
         with self._lock:
-            # Bulk fast path: an all-bytes-like batch goes in as one
-            # deque.extend — no per-chunk call into _write_locked.  A batch
-            # that doesn't fit yet *waits for room and retries whole*
-            # rather than dribbling chunks through the squeeze path: the
-            # downstream reader drains in batches, so room arrives in
-            # batch-sized steps too.
-            if chunks and all(map(isinstance, chunks, _REPEAT_BYTES_LIKE)):
+            # One type pass and one length pass serve the byte total, the
+            # capacity test and the accounting.  A batch that doesn't fit
+            # yet *waits for room and retries whole* rather than dribbling
+            # chunks through the squeeze path: the downstream reader drains
+            # in batches, so room arrives in batch-sized steps too.
+            if chunks and _BYTES_LIKE_TYPES.issuperset(map(type, chunks)):
                 batch_bytes = sum(map(len, chunks))
             else:
                 batch_bytes = 0  # mixed batch: per-chunk slow path below
@@ -203,11 +218,13 @@ class StreamBuffer:
                         f"{self._name}: buffer closed for writing")
                 if (self._capacity is None or force
                         or self._size + batch_bytes <= self._capacity):
-                    if 0 in map(len, chunks):
-                        # Empty chunks must never reach the deque (an empty
-                        # head reads back as a spurious EOF).
-                        chunks = [data for data in chunks if len(data)]
-                    self._chunks.extend(chunks)
+                    # Empty chunks must never be queued (an empty head
+                    # reads back as a spurious EOF).
+                    batch = (list(chunks) if all(chunks)
+                             else [data for data in chunks if data])
+                    self._marks.append(self._bytes_in)
+                    self._batches.append(batch)
+                    self._tail = batch
                     self._size += batch_bytes
                     self._bytes_in += batch_bytes
                     if self._readers_waiting:
@@ -264,14 +281,16 @@ class StreamBuffer:
                 continue
             if written == 0 and room >= total:
                 chunk = data  # fast path: queue the caller's object, no copy
+                room = total
             else:
                 if view is None:
                     view = _as_view(data)
                 chunk = view[written:written + room]
-            self._chunks.append(chunk)
-            self._size += len(chunk)
-            written += len(chunk)
-            self._bytes_in += len(chunk)
+                room = len(chunk)
+            self._tail.append(chunk)
+            self._size += room
+            written += room
+            self._bytes_in += room
             if self._readers_waiting:
                 self._not_empty.notify()
         if self._writers_waiting and (
@@ -324,18 +343,15 @@ class StreamBuffer:
             return b""
         with self._lock:
             while not self._chunks:
-                if self._eof:
+                if self._batches:
+                    self._chunks.extend(self._pop_batch_locked())
+                elif self._eof:
                     return b""
-                self._readers_waiting += 1
-                try:
-                    woken = self._not_empty.wait(timeout)
-                finally:
-                    self._readers_waiting -= 1
-                if not woken:
-                    raise StreamTimeoutError(f"{self._name}: read timed out")
+                else:
+                    self._wait_for_data_locked(timeout)
             head = self._chunks[0]
             hlen = len(head)
-            if hlen == max_bytes or (hlen < max_bytes and len(self._chunks) == 1):
+            if hlen == max_bytes or (hlen < max_bytes and hlen == self._size):
                 self._chunks.popleft()
                 chunk = head  # aligned fast path: no copy, no slice
             elif hlen > max_bytes:
@@ -345,7 +361,9 @@ class StreamBuffer:
             else:
                 parts: List[bytes] = []
                 taken = 0
-                while self._chunks and taken < max_bytes:
+                while taken < max_bytes and taken < self._size:
+                    if not self._chunks:
+                        self._chunks.extend(self._pop_batch_locked())
                     head = self._chunks[0]
                     room = max_bytes - taken
                     if len(head) <= room:
@@ -370,7 +388,11 @@ class StreamBuffer:
         The batch counterpart of :meth:`read`: one lock acquisition moves
         as many whole chunks as fit the byte budget (always at least one
         piece once data is available, splitting the head chunk if it alone
-        exceeds the budget).  ``max_chunk`` additionally caps the size of
+        exceeds the budget).  What was queued as a batch crosses as a
+        batch: the open head and each written batch behind it are handed
+        over as lists while they fit, and only what is left of the budget
+        opens the next batch chunk by chunk.  The returned list is the
+        caller's.  ``max_chunk`` additionally caps the size of
         each returned piece, for callers that need bounded units (framing
         probes, tests); the filter pump does *not* use it — whole queued
         chunks are the transform units, so nothing is re-fragmented.
@@ -381,31 +403,41 @@ class StreamBuffer:
         if max_bytes <= 0:
             return []
         with self._lock:
-            while not self._chunks:
+            while not self._size:
                 if self._eof:
                     return []
-                self._readers_waiting += 1
-                try:
-                    woken = self._not_empty.wait(timeout)
-                finally:
-                    self._readers_waiting -= 1
-                if not woken:
-                    raise StreamTimeoutError(f"{self._name}: read timed out")
+                self._wait_for_data_locked(timeout)
+            # What was queued whole crosses whole while it fits the budget:
+            # the open head, then batch after batch, each as a list.
             if max_chunk is None and self._size <= max_bytes:
-                # Bulk fast path: the byte budget covers everything queued
-                # and no per-piece cap is in force — hand the whole deque
-                # over in one list() + clear(), no per-chunk loop.  This is
-                # the steady state of a batched chain hop, where the
-                # reader's budget is sized to the writer's batch.
+                # The budget covers everything queued.
                 chunks = list(self._chunks)
                 self._chunks.clear()
+                while self._batches:
+                    chunks += self._pop_batch_locked()
                 self._bytes_out += self._size
                 self._size = 0
                 self._after_read_locked()
                 return chunks
             chunks: List[bytes] = []
             taken = 0
-            while self._chunks and taken < max_bytes:
+            if max_chunk is None:
+                # It covers less.  The head ends where the first batch
+                # starts and a batch where the next one does, so the marks
+                # within the budget count what fits: the head and all but
+                # the last of that many batches.
+                origin = self._bytes_in - self._size
+                whole = bisect_right(self._marks, origin + max_bytes)
+                if whole:
+                    taken = self._marks[whole - 1] - origin
+                    chunks = list(self._chunks)
+                    self._chunks.clear()
+                    for _ in range(whole - 1):
+                        chunks += self._pop_batch_locked()
+            # What is left of the budget opens the next batch piecewise.
+            while taken < max_bytes and taken < self._size:
+                if not self._chunks:
+                    self._chunks.extend(self._pop_batch_locked())
                 head = self._chunks[0]
                 allowance = max_bytes - taken
                 if max_chunk is not None and max_chunk < allowance:
@@ -433,11 +465,47 @@ class StreamBuffer:
             self._after_read_locked()
             return chunks
 
+    def _pop_batch_locked(self) -> List[bytes]:
+        """Unqueue the first whole batch; caller holds the lock."""
+        self._marks.popleft()
+        batch = self._batches.popleft()
+        if not self._batches:
+            self._tail = self._chunks
+        return batch
+
+    def _wait_for_data_locked(self, timeout: Optional[float]) -> None:
+        """Park a reader of an empty buffer until it is worth another look.
+
+        Raises :class:`StreamTimeoutError` when ``timeout`` elapses first —
+        or :meth:`interrupt_read` says to behave as if it had.
+        """
+        interrupts = self._read_interrupts
+        self._readers_waiting += 1
+        try:
+            woken = self._not_empty.wait(timeout)
+        finally:
+            self._readers_waiting -= 1
+        if not woken or interrupts != self._read_interrupts:
+            raise StreamTimeoutError(f"{self._name}: read timed out")
+
+    def interrupt_read(self) -> None:
+        """End a *blocked* read as if its timeout had just elapsed.
+
+        The reader raises :class:`StreamTimeoutError` and gets to look at
+        whatever made its owner call this (a stop request) instead of
+        sleeping out its poll interval.  A reader that is not blocked is
+        unaffected, now and on its next call; no data is lost either way.
+        """
+        with self._lock:
+            if self._readers_waiting:
+                self._read_interrupts += 1
+                self._not_empty.notify_all()
+
     def _after_read_locked(self) -> None:
         """Post-consumption signalling; caller holds the lock."""
         if self._writers_waiting:
             self._not_full.notify()
-        if not self._chunks:
+        if not self._size:
             if self._drain_waiting:
                 self._empty.notify_all()
         elif self._readers_waiting:
@@ -460,17 +528,10 @@ class StreamBuffer:
 
     def peek(self, max_bytes: int = 65536) -> bytes:
         """Return buffered data without consuming it (never blocks)."""
-        if max_bytes <= 0:
-            return b""
         with self._lock:
-            if not self._chunks:
-                return b""
-            head = self._chunks[0]
-            if len(head) >= max_bytes or len(self._chunks) == 1:
-                return bytes(_as_view(head)[:max_bytes])
             parts: List[bytes] = []
             remaining = max_bytes
-            for chunk in self._chunks:
+            for chunk in chain(self._chunks, *self._batches):
                 if remaining <= 0:
                     break
                 parts.append(_as_view(chunk)[:remaining])
@@ -482,6 +543,9 @@ class StreamBuffer:
         with self._lock:
             dropped = self._size
             self._chunks.clear()
+            self._batches.clear()
+            self._marks.clear()
+            self._tail = self._chunks
             self._size = 0
             if self._writers_waiting:
                 self._not_full.notify_all()
@@ -498,7 +562,7 @@ class StreamBuffer:
         """
         deadline = None if timeout is None else _monotonic() + timeout
         with self._lock:
-            while self._chunks:
+            while self._size:
                 if self._eof and self._broken:
                     return False
                 remaining = None

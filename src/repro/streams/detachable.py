@@ -269,7 +269,10 @@ class DetachableOutputStream(_ListenerMixin):
         the same error semantics), but connectivity is checked and the DOS
         and buffer locks are taken once per *batch* rather than once per
         chunk — the hot-path saving that makes multi-chunk filter pumps
-        cheap.  Returns the total number of bytes written.
+        cheap.  The list stays the caller's (the sink's buffer queues its
+        own copy of it).  Returns the total number of bytes written, as
+        counted by the sink — callers account from it rather than
+        measuring the batch again.
         """
         if chunks is None:
             raise ValueError("chunks must be an iterable of bytes, not None")
@@ -648,7 +651,8 @@ class DetachableInputStream(_ListenerMixin):
 
         Blocks while the buffer is empty, exactly like :meth:`read`, and
         returns ``[]`` only at true end-of-stream.  ``max_chunk`` caps the
-        size of each returned piece so transform units stay bounded.
+        size of each returned piece so transform units stay bounded.  The
+        returned list is the caller's to keep or extend.
         """
         if self._closed and self._buffer.is_empty():
             return []
@@ -664,6 +668,12 @@ class DetachableInputStream(_ListenerMixin):
             # upstream elements on this buffer's high-water mark).
             self._fire_listeners()
         return chunks
+
+    def interrupt_read(self) -> None:
+        """End a *blocked* :meth:`read` / :meth:`read_chunks` as if its
+        timeout had just elapsed (see :meth:`StreamBuffer.interrupt_read`);
+        a reader that is not blocked is unaffected."""
+        self._buffer.interrupt_read()
 
     def read_exactly(self, nbytes: int, timeout: Optional[float] = None) -> bytes:
         """Read exactly ``nbytes`` (short only at end-of-stream)."""

@@ -7,6 +7,15 @@ from repro.obs.events import EVENT_CHAOS_FAULT, get_event_log
 from repro.transport import get_transport
 
 
+@pytest.fixture(autouse=True)
+def _no_ambient_plan(monkeypatch):
+    """These tests build their own plans (or assert there is none), so a
+    ``REPRO_CHAOS`` set around the run — CI's chaos job sets one — must not
+    wrap their transports a second time.  The tests about the variable set
+    it themselves, after this."""
+    monkeypatch.delenv(CHAOS_ENV_VAR, raising=False)
+
+
 def _drain(receiver, timeout=2.0):
     captured = []
     while True:

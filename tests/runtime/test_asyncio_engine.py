@@ -214,9 +214,12 @@ class TestEngineLifecycle:
     def test_finished_elements_are_deregistered(self, engine):
         source = IterableSource(make_chunks(10))
         sink = CollectorSink()
-        control = ControlThread(source, sink, engine=engine)
+        # Composed before the start; see test_metrics_snapshot_shape.
+        control = ControlThread(source, sink, engine=engine,
+                                auto_start=False)
         f = PassthroughFilter(name="f")
         control.add(f)
+        control.start()
         assert control.wait_for_completion(timeout=5.0)
         deadline = time.monotonic() + 5.0
         while engine.managed_count and time.monotonic() < deadline:
@@ -237,8 +240,12 @@ class TestEngineLifecycle:
     def test_metrics_snapshot_shape(self, engine):
         source = IterableSource(make_chunks(50))
         sink = CollectorSink()
-        control = ControlThread(source, sink, engine=engine)
+        # Composed before the start: 50 chunks are one pump step, and an
+        # insertion racing it finds the stream already ended now and then.
+        control = ControlThread(source, sink, engine=engine,
+                                auto_start=False)
         control.add(PassthroughFilter(name="f"))
+        control.start()
         assert control.wait_for_completion(timeout=10.0)
         snap = engine.metrics_snapshot()
         for counter in ("scheduler_rounds", "elements_pumped", "timer_fires",

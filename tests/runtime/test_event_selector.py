@@ -60,9 +60,15 @@ def test_held_selectable_fd_is_suspended_not_spun_on():
         source = TransportSource(receiver)
         sink = CollectorSink(expect_frames=True)
         control = ControlThread(source, sink, engine=engine)
+        # Arm a hold while nothing flows (so it cannot engage yet and the
+        # zero timeout just returns): the very next unit parks the source
+        # mid-emit.  Armed after the send, it raced the scheduler for it.
+        assert not source.hold_at_boundary(timeout=0)
         channel.send(b"first")
-        # Arm a hold: the very next unit parks the source mid-emit.
-        assert source.hold_at_boundary(timeout=5.0)
+        deadline = time.monotonic() + 5.0
+        while time.monotonic() < deadline and not source.held:
+            time.sleep(0.005)
+        assert source.held
         channel.send(b"second")  # readable fd while held
         deadline = time.monotonic() + 5.0
         while time.monotonic() < deadline and source not in engine._suspended:
