@@ -29,7 +29,7 @@ from random import Random
 from typing import Dict, List, Optional, Tuple
 
 from ..obs.events import EVENT_CHAOS_FAULT, get_event_log
-from ..obs.metrics import default_registry
+from ..obs.metrics import Counter, default_registry
 from ..transport.base import DatagramChannel, DatagramReceiver, Transport
 from .plan import FaultPlan
 
@@ -65,8 +65,9 @@ class DatagramFaultInjector:
         """Decide one datagram's fate.
 
         Returns ``(sends, faults, delay_s)``: the payloads to hand to the
-        inner channel *in order*, the ``(action, offset)`` faults applied,
-        and seconds to sleep before sending (latency/stall injection).
+        inner channel *in order*, the ``(action, offset)`` faults applied
+        (both tuples), and seconds to sleep before sending (latency/stall
+        injection).
         """
         plan = self.plan
         offset = self._index
@@ -80,6 +81,9 @@ class DatagramFaultInjector:
                      or offset in plan.duplicate_offsets)
         reorder = draw() < plan.reorder_p or offset in plan.reorder_offsets
         corrupt = draw() < plan.corrupt_p or offset in plan.corrupt_offsets
+        if not (drop or duplicate or reorder or corrupt
+                or self._held is not None or plan.stall_offset == offset):
+            return (payload,), (), plan.delay_s  # no fault touches it
 
         delay_s = plan.delay_s
         faults: List[Tuple[str, int]] = []
@@ -108,7 +112,7 @@ class DatagramFaultInjector:
                 faults.append(("duplicate", offset))
         if flush is not None:
             sends.append(flush)
-        return sends, faults, delay_s
+        return tuple(sends), tuple(faults), delay_s
 
     def flush(self) -> Optional[bytes]:
         """Release a datagram still held for reordering (on channel close)."""
@@ -139,6 +143,7 @@ class ChaosChannel(DatagramChannel):
         self._injector = DatagramFaultInjector(plan, inner.name)
         self._send_lock = threading.Lock()
         self._counter = _fault_counter()
+        self._action_counters: Dict[str, Counter] = {}  # child per action seen
         # The plan is frozen: its event text is rendered once, not per fault.
         self._plan_text = plan.describe()
 
@@ -160,8 +165,12 @@ class ChaosChannel(DatagramChannel):
 
     def _record_faults(self, faults) -> None:
         log = get_event_log()
+        counters = self._action_counters
         for action, offset in faults:
-            self._counter.labels(action=action).inc()
+            counter = counters.get(action)
+            if counter is None:
+                counter = counters[action] = self._counter.labels(action=action)
+            counter.inc()
             log.emit(EVENT_CHAOS_FAULT, channel=self.name, action=action,
                      offset=offset, plan=self._plan_text)
 

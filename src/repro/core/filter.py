@@ -866,12 +866,16 @@ class PacketFilter(Filter):
         """Transform one packet; the default is a passthrough."""
         return packet
 
-    def transform_packets(self, packets: List[bytes]) -> "PacketFilter.PacketResult":
-        """Transform a whole batch of packets at once (fused mode).
+    def transform_packets(self, packets: List[bytes],
+                          outputs: List[bytes]) -> None:
+        """Transform a whole batch of packets at once (fused mode),
+        appending the resulting packets onto ``outputs``.
 
         Called instead of :meth:`transform_packet` when
         :attr:`fused_packet_batch` is True; implementations must be
-        byte-equivalent to transforming the packets one at a time.
+        byte-equivalent to transforming the packets one at a time — what
+        the packets before one that raises produced included, which is
+        why results are appended rather than returned.
         """
         raise NotImplementedError
 
@@ -906,7 +910,12 @@ class PacketFilter(Filter):
         # Per-packet accounting is record_input(0, packets=1) per packet,
         # which also bumps chunks_in — mirror both in one batched call.
         self.stats.record_input_batch(0, len(packets), packets=len(packets))
-        outputs.extend(self._frame_all(self.transform_packets(packets)))
+        results: List[bytes] = []
+        try:
+            self.transform_packets(packets, results)
+        finally:
+            # Also when a packet mid-batch raised: see Filter.transform_chunks.
+            outputs.extend(self._frame_all(results))
 
     def finalize(self) -> TransformResult:
         return self._frame_all(self.finalize_packets())

@@ -1,9 +1,9 @@
 """FEC group assembly — turning packet streams into coded groups and back.
 
 The encoder side (:class:`FecGroupEncoder`) collects source packets into
-groups of ``k``, pads them to a common block size, and emits the ``n``
-encoded :class:`~repro.fec.packets.FecPacket` objects for each full group
-(the paper's "FEC Encoder" component in Figure 6).
+groups of ``k``, length-prefixes them (padding only a ragged group), and
+emits the ``n`` encoded :class:`~repro.fec.packets.FecPacket` values of each
+full group (the paper's "FEC Encoder" component in Figure 6).
 
 The decoder side (:class:`FecGroupDecoder`) receives whatever subset of
 those packets survived the lossy link, reconstructs each group as soon as
@@ -14,23 +14,33 @@ whatever data packets did arrive, so FEC can only improve delivery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .backend import GFBackend, resolve_backend
-from .block_codes import BlockErasureCode, FecCodingError, _as_batch
-from .vandermonde import _decoding_matrix_cached
+from .block_codes import BlockErasureCode, FecCodingError
+from .vandermonde import MAX_GROUP_SIZE, _decoding_matrix_cached
 from .packets import (
+    _LENGTH,
     FLAG_PARITY,
     FLAG_UNCODED,
     FecPacket,
-    block_size_for,
-    pad_block,
+    FecPacketError,
     unpad_block,
 )
+
+_new_packet = tuple.__new__
+
+
+def _stacked(blocks: List[bytes], k: int, size: int) -> np.ndarray:
+    """Whole groups of k ``size``-byte blocks as one ``(k, G * size)`` batch
+    (row i holds block i of every group, group after group): one join and
+    one transposing copy, however many groups there are."""
+    return np.frombuffer(b"".join(blocks), dtype=np.uint8).reshape(
+        -1, k, size).transpose(1, 0, 2).reshape(k, -1)
 
 
 @dataclass
@@ -99,93 +109,103 @@ class FecGroupEncoder:
         list; on the ``k``-th payload the full group of ``n`` packets is
         returned (data packets first, then parity).
         """
-        if payload is None:
-            raise ValueError("payload must be bytes, not None")
-        self._pending.append(bytes(payload))
-        self.stats.payloads_in += 1
-        if len(self._pending) < self._code.k:
-            return []
-        return self._encode_group()
+        return self.add_batch((payload,))
 
-    def add_batch(self, payloads: Sequence[bytes]) -> List[FecPacket]:
+    def add_batch(self, payloads: Sequence[bytes],
+                  out: Optional[List[FecPacket]] = None) -> List[FecPacket]:
         """Add many payloads at once; returns the packets of every group
-        the batch completed.
+        the batch completed, appended to ``out`` when one is given.
 
-        Byte- and stats-identical to calling :meth:`add` per payload, but
-        all groups filled by the batch are parity-encoded *fused*: groups
-        sharing a block size are hstacked into one ``(k, G*L)`` array and
-        encoded by a single backend product (parity is a columnwise linear
-        map, so the fused product is byte-for-byte the per-group results).
+        The groups are cut from the pending payloads in one slice and
+        encoded in one pass (see :meth:`_encode_groups`).  When a payload
+        is rejected, the groups completed by the payloads before it are
+        still encoded, counted and appended before the error propagates —
+        a caller that passed ``out`` keeps them, as it would have kept the
+        results of the :meth:`add` calls before the offending one.
         """
-        k = self._code.k
-        groups: List[Tuple[int, List[bytes]]] = []
-        for payload in payloads:
-            if payload is None:
-                raise ValueError("payload must be bytes, not None")
-            self._pending.append(bytes(payload))
-            self.stats.payloads_in += 1
-            if len(self._pending) == k:
-                full, self._pending = self._pending, []
-                group_id = self._next_group_id
-                self._next_group_id += 1
-                block_size = block_size_for(full)
-                groups.append(
-                    (group_id, [pad_block(p, block_size) for p in full]))
-        if not groups:
-            return []
-        parity_lists = self._fused_parity([blocks for _, blocks in groups])
-        packets: List[FecPacket] = []
-        for (group_id, blocks), parity_blocks in zip(groups, parity_lists):
-            packets.extend(self._packets_for(group_id, blocks, parity_blocks))
-        return packets
+        if out is None:
+            out = []
+        pending = self._pending
+        before = len(pending)
+        try:
+            for payload in payloads:
+                if payload is None:
+                    raise ValueError("payload must be bytes, not None")
+                pending.append(payload if payload.__class__ is bytes
+                               else bytes(payload))
+        finally:
+            self.stats.payloads_in += len(pending) - before
+            whole = len(pending) - len(pending) % self._code.k
+            if whole:
+                full = pending[:whole]
+                del pending[:whole]
+                self._encode_groups(full, out)
+        return out
 
-    def _fused_parity(self, padded: List[List[bytes]]) -> List[List[bytes]]:
-        """Parity blocks for many groups, one backend product per block size."""
-        parity_out: List[List[bytes]] = [[] for _ in padded]
-        cohorts: Dict[int, List[int]] = {}
-        for pos, blocks in enumerate(padded):
-            cohorts.setdefault(len(blocks[0]), []).append(pos)
-        for block_size, members in cohorts.items():
-            if len(members) == 1:
-                pos = members[0]
-                parity = self._code.encode_parity_batch(_as_batch(padded[pos]))
-                parity_out[pos] = [parity[i].tobytes()
-                                   for i in range(parity.shape[0])]
-                continue
-            stacked = np.hstack([_as_batch(padded[pos]) for pos in members])
-            parity = self._code.encode_parity_batch(stacked)
-            for j, pos in enumerate(members):
-                lo = j * block_size
-                hi = lo + block_size
-                parity_out[pos] = [parity[i, lo:hi].tobytes()
-                                   for i in range(parity.shape[0])]
-        return parity_out
+    def _encode_groups(self, payloads: List[bytes],
+                       out: List[FecPacket]) -> None:
+        """Encode whole groups (``len(payloads)`` is a multiple of k).
 
-    def _encode_group(self) -> List[FecPacket]:
-        payloads, self._pending = self._pending, []
-        group_id = self._next_group_id
-        self._next_group_id += 1
-        block_size = block_size_for(payloads)
-        blocks = [pad_block(p, block_size) for p in payloads]
-        # One vectorised batch product yields every parity block; the data
-        # packets reuse the padded source blocks directly.
-        parity = self._code.encode_parity_batch(_as_batch(blocks))
-        parity_blocks = [parity[i].tobytes() for i in range(parity.shape[0])]
-        return self._packets_for(group_id, blocks, parity_blocks)
-
-    def _packets_for(self, group_id: int, blocks: List[bytes],
-                     parity_blocks: List[bytes]) -> List[FecPacket]:
-        """Wrap one group's encoded blocks as packets, with per-group stats."""
-        packets: List[FecPacket] = []
-        for index, block in enumerate(blocks + parity_blocks):
-            flags = FLAG_PARITY if index >= self._code.k else 0
-            packets.append(FecPacket(group_id=group_id, index=index,
-                                     k=self._code.k, n=self._code.n,
-                                     payload=block, flags=flags))
-        self.stats.groups_encoded += 1
-        self.stats.data_packets_out += self._code.k
-        self.stats.parity_packets_out += self._code.n - self._code.k
-        return packets
+        Lengths are measured once.  A batch whose payloads share a length
+        (audio: always) gets one length prefix and no padding pass; a
+        ragged one pads each group to its own longest payload.  Every
+        block-size cohort reaches the backend as one joined ``(k, G*L)``
+        array (parity is a columnwise linear map, so the fused product is
+        byte-for-byte the per-group results) and its parity comes back
+        through one ``tobytes()``.
+        """
+        k, n = self._code.k, self._code.n
+        groups = len(payloads) // k
+        lengths = list(map(len, payloads))
+        longest = max(lengths)
+        if longest > 0xFFFF:
+            # The groups before the oversize one still go out, as they did
+            # payload by payload.
+            whole = next(i for i, length in enumerate(lengths)
+                         if length > 0xFFFF) // k * k
+            if whole:
+                self._encode_groups(payloads[:whole], out)
+            raise FecPacketError(
+                "payload larger than 65535 bytes cannot be padded")
+        cohorts: Dict[int, Sequence[int]] = {}
+        if longest == min(lengths):
+            prefix = _LENGTH.pack(longest)
+            blocks = [prefix + payload for payload in payloads]
+            cohorts[longest + 2] = range(groups)
+        else:
+            pack_length = _LENGTH.pack
+            blocks = []
+            for group in range(groups):
+                members = slice(group * k, group * k + k)
+                size = max(lengths[members]) + 2
+                cohorts.setdefault(size, []).append(group)
+                blocks += [pack_length(length) + payload
+                           + bytes(size - 2 - length)
+                           for payload, length in zip(payloads[members],
+                                                      lengths[members])]
+        parity: List[List[bytes]] = [[]] * groups
+        for size, members in cohorts.items():
+            coded = self._code.encode_parity_batch(_stacked(
+                blocks if len(members) == groups else
+                [blocks[g * k + i] for g in members for i in range(k)],
+                k, size)).tobytes()
+            span = len(members) * size
+            for slot, group in enumerate(members):
+                parity[group] = [coded[lo:lo + size] for lo in
+                                 range(slot * size, len(coded), span)]
+        first_id = self._next_group_id
+        self._next_group_id += groups
+        append = out.append
+        for group in range(groups):
+            for index, block in enumerate(
+                    blocks[group * k:group * k + k] + parity[group]):
+                append(_new_packet(FecPacket, (
+                    first_id + group, index, k, n, block,
+                    FLAG_PARITY if index >= k else 0)))
+        stats = self.stats
+        stats.groups_encoded += groups
+        stats.data_packets_out += groups * k
+        stats.parity_packets_out += groups * (n - k)
 
     def flush(self) -> List[FecPacket]:
         """Emit any partially filled group as *uncoded* packets.
@@ -223,25 +243,15 @@ class FecDecoderStats:
     payloads_recovered: int = 0
 
 
-@dataclass
 class _GroupState:
-    k: int
-    n: int
-    received: Dict[int, bytes] = field(default_factory=dict)
-    uncoded: Dict[int, bytes] = field(default_factory=dict)
-    delivered: bool = False
+    """One tracked group; ``received`` is None once it has been delivered."""
 
+    __slots__ = ("k", "n", "received")
 
-@dataclass
-class _PendingDecode:
-    """A group that became decodable mid-batch, awaiting the fused algebra."""
-
-    k: int
-    n: int
-    received: Dict[int, bytes]
-    payloads: List[bytes] = field(default_factory=list)
-    chosen: List[int] = field(default_factory=list)
-    data_received: int = 0
+    def __init__(self, k: int, n: int) -> None:
+        self.k = k
+        self.n = n
+        self.received: Optional[Dict[int, bytes]] = {}
 
 
 class FecGroupDecoder:
@@ -264,7 +274,6 @@ class FecGroupDecoder:
         self._group_ids: List[int] = []  # min-heap of the tracked ids
         self._max_tracked = max_tracked_groups
         self._backend = resolve_backend(backend)
-        self._codes: Dict[Tuple[int, int], BlockErasureCode] = {}
         self.stats = FecDecoderStats()
 
     @property
@@ -272,175 +281,125 @@ class FecGroupDecoder:
         """Name of the GF(256) backend decoding this stream."""
         return self._backend.name
 
-    def _code_for(self, k: int, n: int) -> BlockErasureCode:
-        code = self._codes.get((k, n))
-        if code is None:
-            code = BlockErasureCode(k, n, backend=self._backend)
-            self._codes[(k, n)] = code
-        return code
-
     def add(self, packet: FecPacket) -> List[bytes]:
         """Process one received packet; returns recovered payloads (if any)."""
-        self.stats.packets_in += 1
-        if packet.is_uncoded:
-            self.stats.uncoded_packets_in += 1
-            self.stats.payloads_out += 1
-            return [packet.payload]
+        return self.add_batch((packet,))
 
-        if packet.is_parity:
-            self.stats.parity_packets_in += 1
-        else:
-            self.stats.data_packets_in += 1
+    def add_batch(self, packets: Sequence[FecPacket],
+                  out: Optional[List[bytes]] = None) -> List[bytes]:
+        """Process many received packets at once; returns the payloads of
+        every group they completed, appended to ``out`` when one is given.
 
-        state = self._groups.get(packet.group_id)
-        if state is None:
-            state = self._track(packet)
-        if state.delivered:
-            return []
-        if packet.k != state.k or packet.n != state.n:
-            raise FecCodingError(
-                f"group {packet.group_id} has inconsistent (n, k) parameters")
-        state.received.setdefault(packet.index, packet.payload)
-
-        if len(state.received) < state.k:
-            return []
-        return self._deliver(packet.group_id, state)
-
-    def add_batch(self, packets: Sequence[FecPacket]) -> List[bytes]:
-        """Process many received packets at once.
-
-        Byte-, order- and stats-identical to calling :meth:`add` per packet
-        and concatenating the results, but the algebra for every group the
-        batch completes runs *fused*: groups that chose the same encoded
-        indices (the common case — a clean stream always decodes from the
-        k data indices, a uniformly lossy one from the same survivor set)
-        are hstacked and reconstructed by one backend product.
+        A group whose k data blocks all arrived is unpadded on the spot.
+        The others wait for the end of the batch, where groups that chose
+        the same encoded indices (a uniformly lossy stream decodes from the
+        same few survivor sets) are reconstructed by one backend product.
+        When a packet is rejected, what the packets before it completed is
+        still decoded, counted and appended before the error propagates; a
+        repair the algebra itself shows to be garbage surfaces once the
+        batch is tracked, after the deliveries that precede it.
         """
-        deliveries: List[Tuple[str, object]] = []
-        pending_decodes: List[_PendingDecode] = []
-        for packet in packets:
-            self.stats.packets_in += 1
-            if packet.is_uncoded:
-                self.stats.uncoded_packets_in += 1
-                self.stats.payloads_out += 1
-                deliveries.append(("payloads", [packet.payload]))
-                continue
-            if packet.is_parity:
-                self.stats.parity_packets_in += 1
-            else:
-                self.stats.data_packets_in += 1
-            state = self._groups.get(packet.group_id)
-            if state is None:
-                state = self._track(packet)
-            if state.delivered:
-                continue
-            if packet.k != state.k or packet.n != state.n:
-                raise FecCodingError(
-                    f"group {packet.group_id} has inconsistent (n, k) parameters")
-            state.received.setdefault(packet.index, packet.payload)
-            if len(state.received) < state.k:
-                continue
-            # The group became decodable: snapshot it and mark it delivered
-            # *now*, so a late same-batch packet is dropped exactly as the
-            # sequential path drops it; the algebra itself is deferred so
-            # same-shaped groups decode fused below.
-            pending = _PendingDecode(k=state.k, n=state.n,
-                                     received=state.received)
-            state.delivered = True
-            state.received = {}
-            pending_decodes.append(pending)
-            deliveries.append(("group", pending))
-        if pending_decodes:
-            self._decode_pending(pending_decodes)
-        out: List[bytes] = []
-        for kind, value in deliveries:
-            if kind == "group":
-                out.extend(value.payloads)
-            else:
-                out.extend(value)
+        if out is None:
+            out = []
+        groups = self._groups
+        # In arrival order: a group's payloads, or a placeholder that the
+        # repair turns into them (or into the error it ended in).
+        deliveries: List[Union[List[bytes], Exception, None]] = []
+        # (k, n, indices, size) -> [(blocks, place among the deliveries)]
+        repairs: Dict[Tuple, List[Tuple[Dict[int, bytes], int]]] = {}
+        seen = parity = uncoded = decoded = 0
+        try:
+            for group_id, index, k, n, payload, flags in packets:
+                seen += 1
+                if flags & FLAG_UNCODED:
+                    uncoded += 1
+                    deliveries.append([payload])
+                    continue
+                if index >= k:
+                    parity += 1
+                state = groups.get(group_id)
+                if state is None:
+                    state = self._track(group_id, k, n)
+                received = state.received
+                if received is None:
+                    continue  # late packet of a delivered group
+                if k != state.k or n != state.n:
+                    raise FecCodingError(
+                        f"group {group_id} has inconsistent (n, k) parameters")
+                if index in received:
+                    continue
+                received[index] = payload
+                if len(received) < k:
+                    continue
+                # Decodable from exactly these k blocks.  Delivered *now*,
+                # so a late packet in this same batch is dropped as such.
+                state.received = None
+                chosen = tuple(sorted(received))
+                if not (0 < k <= n <= MAX_GROUP_SIZE and chosen[-1] < n):
+                    raise FecCodingError(
+                        f"group {group_id}: blocks {chosen} are not of a "
+                        f"valid (n={n}, k={k}) code word")
+                if chosen[-1] < k:
+                    deliveries.append(
+                        [unpad_block(received[i]) for i in chosen])
+                    decoded += 1
+                else:
+                    if len(set(map(len, received.values()))) != 1:
+                        raise FecCodingError(
+                            f"group {group_id} has blocks of unequal length")
+                    if len(payload) < 2:
+                        raise FecPacketError(
+                            "padded block shorter than its length prefix")
+                    repairs.setdefault(
+                        (k, n, chosen, len(payload)), []
+                    ).append((received, len(deliveries)))
+                    deliveries.append(None)
+        finally:
+            stats = self.stats
+            stats.packets_in += seen
+            stats.parity_packets_in += parity
+            stats.uncoded_packets_in += uncoded
+            stats.data_packets_in += seen - parity - uncoded
+            stats.groups_decoded += decoded
+            self._repair(repairs, deliveries)
+            for payloads in deliveries:
+                if isinstance(payloads, Exception):
+                    raise payloads
+                out += payloads
+                stats.payloads_out += len(payloads)
         return out
 
-    def _decode_pending(self, pending_decodes: List[_PendingDecode]) -> None:
-        """Run the deferred reconstructions, fusing same-shaped groups.
+    def _repair(self, repairs, deliveries) -> None:
+        """Reconstruct the deferred groups, one backend product per cohort.
 
-        The cohort key is ``(k, n, chosen indices, block length)`` — groups
+        The cohort key is ``(k, n, chosen indices, block length)``: groups
         sharing it use the same decode matrix on same-width columns, so one
-        product over the hstacked batch is byte-identical to per-group
-        decodes.
+        product over the joined batch is byte-identical to per-group
+        decodes.  A group whose repair is garbage gets the error as its
+        delivery.
         """
-        cohorts: Dict[Tuple, List[_PendingDecode]] = {}
-        for pending in pending_decodes:
-            received = pending.received
-            data_indices = sorted(i for i in received if i < pending.k)
-            if len(data_indices) == pending.k:
-                # Every source block arrived — no algebra needed.
-                pending.payloads = [unpad_block(received[i])
-                                    for i in range(pending.k)]
-                self._count_decoded(pending, pending.k)
-                continue
-            parity_indices = sorted(i for i in received if i >= pending.k)
-            chosen = (data_indices + parity_indices)[:pending.k]
-            chosen.sort()
-            pending.chosen = chosen
-            pending.data_received = len(data_indices)
-            key = (pending.k, pending.n, tuple(chosen),
-                   len(received[chosen[0]]))
-            cohorts.setdefault(key, []).append(pending)
-        for (k, n, chosen, _length), members in cohorts.items():
-            if len(members) == 1:
-                pending = members[0]
-                code = self._code_for(k, n)
-                blocks = code.decode(pending.received)
-                pending.payloads = [unpad_block(block) for block in blocks]
-                self._count_decoded(pending, pending.data_received)
-                continue
-            self._decode_cohort(k, n, list(chosen), members)
-
-    def _decode_cohort(self, k: int, n: int, chosen: List[int],
-                       members: List[_PendingDecode]) -> None:
-        """Reconstruct many same-shaped groups with one backend product."""
-        block_len = len(members[0].received[chosen[0]])
-        stacked = np.hstack([
-            _as_batch([member.received[i] for i in chosen])
-            for member in members])
-        present = {i for i in chosen if i < k}
-        missing = [i for i in range(k) if i not in present]
-        decode_matrix = _decoding_matrix_cached(k, n, tuple(chosen))
-        rows = [decode_matrix.row(i) for i in missing]
-        recovered = self._backend.apply_matrix(rows, stacked)
-        for position, pending in enumerate(members):
-            lo = position * block_len
-            hi = lo + block_len
-            sources: List[bytes] = [b""] * k
-            for i in chosen:
-                if i < k:
-                    sources[i] = bytes(pending.received[i])
-            for slot, source_index in enumerate(missing):
-                sources[source_index] = recovered[slot, lo:hi].tobytes()
-            pending.payloads = [unpad_block(block) for block in sources]
-            self._count_decoded(pending, pending.data_received)
-
-    def _count_decoded(self, pending: _PendingDecode, data_received: int) -> None:
-        """The delivery-time stats of :meth:`_deliver`, for one fused group."""
-        self.stats.groups_decoded += 1
-        if data_received < pending.k:
-            self.stats.groups_repaired += 1
-            self.stats.payloads_recovered += pending.k - data_received
-        self.stats.payloads_out += len(pending.payloads)
-
-    def _deliver(self, group_id: int, state: _GroupState) -> List[bytes]:
-        code = self._code_for(state.k, state.n)
-        blocks = code.decode(state.received)
-        payloads = [unpad_block(block) for block in blocks]
-        data_received = sum(1 for i in state.received if i < state.k)
-        state.delivered = True
-        state.received.clear()
-        self.stats.groups_decoded += 1
-        if data_received < state.k:
-            self.stats.groups_repaired += 1
-            self.stats.payloads_recovered += state.k - data_received
-        self.stats.payloads_out += len(payloads)
-        return payloads
+        stats = self.stats
+        for (k, n, chosen, size), members in repairs.items():
+            missing = [i for i in range(k) if i not in chosen]
+            matrix = _decoding_matrix_cached(k, n, chosen)
+            span = len(members) * size
+            solved = self._backend.apply_matrix(
+                [matrix.row(i) for i in missing],
+                _stacked([received[i] for received, _ in members
+                          for i in chosen], k, size)).tobytes()
+            for slot, (received, position) in enumerate(members):
+                for row, i in enumerate(missing):
+                    lo = row * span + slot * size
+                    received[i] = solved[lo:lo + size]
+                try:
+                    deliveries[position] = [unpad_block(received[i])
+                                            for i in range(k)]
+                except FecPacketError as exc:
+                    deliveries[position] = exc
+                    continue
+                stats.groups_decoded += 1
+                stats.groups_repaired += 1
+                stats.payloads_recovered += len(missing)
 
     def flush(self) -> List[bytes]:
         """Surrender data packets from groups that never became decodable.
@@ -452,19 +411,18 @@ class FecGroupDecoder:
         leftovers: List[bytes] = []
         for group_id in sorted(self._groups):
             state = self._groups[group_id]
-            if state.delivered:
+            received = state.received
+            if received is None:
                 continue
-            if state.received:
-                self.stats.groups_unrecoverable += 1
-            for index in sorted(state.received):
+            self.stats.groups_unrecoverable += 1
+            for index in sorted(received):
                 if index < state.k:
-                    leftovers.append(unpad_block(state.received[index]))
+                    leftovers.append(unpad_block(received[index]))
                     self.stats.payloads_out += 1
-            state.received.clear()
-            state.delivered = True
+            state.received = None
         return leftovers
 
-    def _track(self, packet: FecPacket) -> _GroupState:
+    def _track(self, group_id: int, k: int, n: int) -> _GroupState:
         """Start tracking the group of a first-seen packet, evicting the
         smallest tracked group ids while the table is over its limit.
 
@@ -473,17 +431,19 @@ class FecGroupDecoder:
         id is a new entry), so its root is ``min()`` of the table in
         O(log n) instead of a scan per new group.
         """
-        state = _GroupState(k=packet.k, n=packet.n)
-        self._groups[packet.group_id] = state
-        heappush(self._group_ids, packet.group_id)
+        state = _GroupState(k, n)
+        self._groups[group_id] = state
+        heappush(self._group_ids, group_id)
         self.stats.groups_seen += 1
         while len(self._groups) > self._max_tracked:
             evicted = self._groups.pop(heappop(self._group_ids))
-            if not evicted.delivered and evicted.received:
+            if evicted.received:
                 self.stats.groups_unrecoverable += 1
         return state
 
     @property
     def pending_groups(self) -> int:
         """Number of groups tracked but not yet delivered."""
-        return sum(1 for state in self._groups.values() if not state.delivered)
+        return sum(1 for state in self._groups.values()
+                   if state.received is not None)
+

@@ -10,14 +10,17 @@ reassemble groups and reconstruct lost data packets.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from typing import NamedTuple
 
-#: Header layout: magic, version, flags, k, n, index, group_id (u32).
-_HEADER = struct.Struct(">BBBBBBI")
+#: Header layout: magic and version (one u16 tag), flags, k, n, index,
+#: group_id (u32).
+_HEADER = struct.Struct(">HBBBBI")
 HEADER_SIZE = _HEADER.size
+_LENGTH = struct.Struct(">H")
 
 FEC_MAGIC = 0xFE
 FEC_VERSION = 1
+_TAG = FEC_MAGIC << 8 | FEC_VERSION
 
 #: Flag: the payload is an uncoded passthrough packet (e.g. the tail of a
 #: stream that did not fill a complete group).
@@ -30,9 +33,9 @@ class FecPacketError(ValueError):
     """Raised when an FEC packet header is malformed."""
 
 
-@dataclass(frozen=True)
-class FecPacket:
-    """A single FEC-encoded packet (data or parity).
+class FecPacket(NamedTuple):
+    """A single FEC-encoded packet (data or parity): an immutable six-field
+    value, compared and hashed by its fields.
 
     Attributes
     ----------
@@ -59,12 +62,12 @@ class FecPacket:
     @property
     def is_parity(self) -> bool:
         """True when this packet carries parity rather than source data."""
-        return self.index >= self.k and not self.is_uncoded
+        return self.index >= self.k and not self.flags & FLAG_UNCODED
 
     @property
     def is_data(self) -> bool:
         """True when this packet carries a (padded) source block."""
-        return self.index < self.k and not self.is_uncoded
+        return self.index < self.k and not self.flags & FLAG_UNCODED
 
     @property
     def is_uncoded(self) -> bool:
@@ -73,27 +76,37 @@ class FecPacket:
 
     def pack(self) -> bytes:
         """Serialise the packet (header + payload) to bytes."""
+        group_id, index, k, n, payload, flags = self
+        try:
+            header = _HEADER.pack(_TAG, flags, k, n, index, group_id)
+        except struct.error:
+            # struct enforces the field widths; name the field as ever.
+            self._check_ranges()
+            raise
+        if not (k and n):
+            self._check_ranges()
+        return header + payload
+
+    def _check_ranges(self) -> None:
         if not 0 <= self.group_id <= 0xFFFFFFFF:
             raise FecPacketError(f"group_id {self.group_id} out of range")
         if not 0 <= self.index < 256 or not 0 < self.k < 256 or not 0 < self.n < 256:
             raise FecPacketError("index/k/n out of range for the wire format")
-        header = _HEADER.pack(FEC_MAGIC, FEC_VERSION, self.flags,
-                              self.k, self.n, self.index, self.group_id)
-        return header + self.payload
 
     @classmethod
     def unpack(cls, data: bytes) -> "FecPacket":
         """Parse a packet previously produced by :meth:`pack`."""
-        if len(data) < HEADER_SIZE:
+        try:
+            tag, flags, k, n, index, group_id = _HEADER.unpack_from(data)
+        except struct.error:
             raise FecPacketError(
-                f"packet too short for FEC header ({len(data)} bytes)")
-        magic, version, flags, k, n, index, group_id = _HEADER.unpack_from(data, 0)
-        if magic != FEC_MAGIC:
-            raise FecPacketError(f"bad FEC magic 0x{magic:02x}")
-        if version != FEC_VERSION:
-            raise FecPacketError(f"unsupported FEC version {version}")
-        return cls(group_id=group_id, index=index, k=k, n=n,
-                   payload=data[HEADER_SIZE:], flags=flags)
+                f"packet too short for FEC header ({len(data)} bytes)") from None
+        if tag != _TAG:
+            if tag >> 8 != FEC_MAGIC:
+                raise FecPacketError(f"bad FEC magic 0x{tag >> 8:02x}")
+            raise FecPacketError(f"unsupported FEC version {tag & 0xFF}")
+        return tuple.__new__(cls, (group_id, index, k, n,
+                                   data[HEADER_SIZE:], flags))
 
 
 def pad_block(payload: bytes, block_size: int) -> bytes:
@@ -105,7 +118,7 @@ def pad_block(payload: bytes, block_size: int) -> bytes:
     """
     if len(payload) > 0xFFFF:
         raise FecPacketError("payload larger than 65535 bytes cannot be padded")
-    prefixed = struct.pack(">H", len(payload)) + payload
+    prefixed = _LENGTH.pack(len(payload)) + payload
     if len(prefixed) > block_size:
         raise FecPacketError(
             f"payload of {len(payload)} bytes does not fit block size {block_size}")
@@ -114,9 +127,11 @@ def pad_block(payload: bytes, block_size: int) -> bytes:
 
 def unpad_block(block: bytes) -> bytes:
     """Recover the original payload from a padded block."""
-    if len(block) < 2:
-        raise FecPacketError("padded block shorter than its length prefix")
-    (length,) = struct.unpack_from(">H", block, 0)
+    try:
+        (length,) = _LENGTH.unpack_from(block)
+    except struct.error:
+        raise FecPacketError(
+            "padded block shorter than its length prefix") from None
     if length > len(block) - 2:
         raise FecPacketError(
             f"length prefix {length} exceeds block payload {len(block) - 2}")

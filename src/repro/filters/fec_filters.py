@@ -70,11 +70,19 @@ class FecEncoderFilter(PacketFilter):
         return self._encoder.stats
 
     def transform_packet(self, packet: bytes) -> List[bytes]:
-        return [fec_packet.pack() for fec_packet in self._encoder.add(packet)]
+        return self.transform_packets((packet,))
 
-    def transform_packets(self, packets: List[bytes]) -> List[bytes]:
-        return [fec_packet.pack()
-                for fec_packet in self._encoder.add_batch(packets)]
+    def transform_packets(self, packets: List[bytes],
+                          outputs: Optional[List[bytes]] = None) -> List[bytes]:
+        if outputs is None:
+            outputs = []
+        fec_packets: List[FecPacket] = []
+        try:
+            self._encoder.add_batch(packets, fec_packets)
+        finally:
+            # A rejected payload leaves the groups completed before it.
+            outputs += [fec_packet.pack() for fec_packet in fec_packets]
+        return outputs
 
     def finalize_packets(self) -> List[bytes]:
         return [fec_packet.pack() for fec_packet in self._encoder.flush()]
@@ -118,32 +126,28 @@ class FecDecoderFilter(PacketFilter):
         return self._group_decoder.stats
 
     def transform_packet(self, packet: bytes) -> List[bytes]:
-        try:
-            fec_packet = FecPacket.unpack(packet)
-        except FecPacketError:
-            self.unknown_packets += 1
-            return [packet] if self.passthrough_unknown else []
-        return self._group_decoder.add(fec_packet)
+        return self.transform_packets((packet,))
 
-    def transform_packets(self, packets: List[bytes]) -> List[bytes]:
-        outputs: List[bytes] = []
+    def transform_packets(self, packets: List[bytes],
+                          outputs: Optional[List[bytes]] = None) -> List[bytes]:
+        if outputs is None:
+            outputs = []
+        unpack = FecPacket.unpack
         run: List[FecPacket] = []
         for packet in packets:
             try:
-                fec_packet = FecPacket.unpack(packet)
+                run.append(unpack(packet))
             except FecPacketError:
                 if run:
                     # Flush the run first so a passthrough packet keeps its
                     # position relative to the decoded payloads around it.
-                    outputs.extend(self._group_decoder.add_batch(run))
+                    self._group_decoder.add_batch(run, outputs)
                     run = []
                 self.unknown_packets += 1
                 if self.passthrough_unknown:
                     outputs.append(packet)
-                continue
-            run.append(fec_packet)
         if run:
-            outputs.extend(self._group_decoder.add_batch(run))
+            self._group_decoder.add_batch(run, outputs)
         return outputs
 
     def finalize_packets(self) -> List[bytes]:

@@ -97,7 +97,9 @@ class EventLog:
         }
         for key, value in fields.items():
             record[str(key)] = value
-        line = json.dumps(record, sort_keys=True, default=str)
+        line = ""
+        if self._stream is not None:  # only ever lost, so safe to test here
+            line = json.dumps(record, sort_keys=True, default=str)
         with self._lock:
             if self._ring.maxlen is not None and len(self._ring) == self._ring.maxlen:
                 self.dropped_total += 1

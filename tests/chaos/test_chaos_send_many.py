@@ -29,6 +29,9 @@ PLANS = {
                                  delay_s=0.0002, stall_offset=9,
                                  stall_s=0.02),
     "reorder-last": FaultPlan(seed=1, reorder_offsets=(99,)),
+    "all-five-kinds": FaultPlan(seed=24, drop_p=0.1, duplicate_p=0.1,
+                                reorder_p=0.1, corrupt_p=0.1,
+                                stall_offset=40, stall_s=0.002),
 }
 
 PAYLOADS = [bytes([i]) * (16 + i % 5) for i in range(100)]
@@ -110,6 +113,43 @@ def test_the_plans_do_inject_every_kind_of_fault():
     assert [offset for _action, offset, _c, _p in events] \
         == sorted(offset for _action, offset, _c, _p in events)
     assert _run(PLANS["delay-and-stall"], 64)[2]["stall"] == 1
+
+
+def test_one_counter_increment_and_one_event_per_fault_of_every_kind(
+        monkeypatch):
+    """With all five kinds firing, ``repro_chaos_faults_total{action}`` and
+    the ``chaos-fault`` events agree per action, and the channel asks the
+    counter family for each action's child once, not once per fault."""
+    family = chaos_transport._fault_counter()
+    asked = []
+    real_labels = family.labels
+    monkeypatch.setattr(family, "labels", lambda **labels: (
+        asked.append(labels["action"]), real_labels(**labels))[1])
+    plan = PLANS["all-five-kinds"]
+    log = get_event_log()
+    log.clear()
+    before = {action: real_labels(action=action).value for action in ACTIONS}
+    transport = ChaosTransport(LoopbackTransport(), plan)
+    try:
+        channel = transport.open_channel("wlan")
+        channel.join("r")
+        for start in range(0, len(PAYLOADS), 16):
+            channel.send_many(PAYLOADS[start:start + 16])
+    finally:
+        transport.close()
+    counted = {action: real_labels(action=action).value - before[action]
+               for action in ACTIONS}
+    events = log.records(event=EVENT_CHAOS_FAULT)
+    assert counted == {action: sum(1 for r in events if r["action"] == action)
+                       for action in ACTIONS}
+    assert all(counted[action] > 0 for action in ACTIONS)
+    assert counted["stall"] == 1 and sum(counted.values()) > len(ACTIONS)
+    assert sorted(asked) == sorted(ACTIONS)
+    for record in events:
+        assert set(record) == {"ts", "event", "stream", "cid", "channel",
+                               "action", "offset", "plan"}
+        assert (record["channel"], record["plan"], record["stream"],
+                record["cid"]) == ("wlan", plan.describe(), "", "")
 
 
 def test_every_member_sees_the_same_wire_sequence():

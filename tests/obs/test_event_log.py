@@ -17,6 +17,15 @@ from repro.obs.events import (
 )
 
 
+def _record_renders(monkeypatch):
+    """The events rendered to JSON by the log from now on, as a live list."""
+    rendered = []
+    real = json.dumps
+    monkeypatch.setattr(events.json, "dumps", lambda *a, **kw: (
+        rendered.append(a[0]["event"]), real(*a, **kw))[1])
+    return rendered
+
+
 class TestEventLog:
     def test_emit_builds_schema(self):
         log = EventLog()
@@ -71,6 +80,64 @@ class TestEventLog:
         sink.close()
         log.emit("after")  # must not raise
         assert [r["event"] for r in log.records()] == ["before", "after"]
+
+    def test_the_tee_line_is_the_sorted_json_of_the_record(self):
+        import io
+
+        class Odd:
+            def __str__(self):
+                return "odd-object"
+
+        sink = io.StringIO()
+        log = EventLog(stream=sink)
+        records = [log.emit("demo", stream="s", cid="c-1", zeta=1, alpha=[1, 2],
+                            odd=Odd(), text="caf\u00e9"),
+                   log.emit("bare")]
+        # Byte for byte what emit() has always written: sorted keys, and
+        # str() for what JSON cannot carry.
+        assert sink.getvalue() == "".join(
+            json.dumps(record, sort_keys=True, default=str) + "\n"
+            for record in records)
+        first = sink.getvalue().splitlines()[0]
+        assert first.index('"alpha"') < first.index('"cid"') \
+            < first.index('"zeta"') and '"odd": "odd-object"' in first
+
+    def test_nothing_is_rendered_without_a_tee(self, monkeypatch):
+        import io
+
+        rendered = _record_renders(monkeypatch)
+        quiet = EventLog(capacity=2)
+        for index in range(5):
+            quiet.emit("quiet", index=index)
+        assert rendered == []
+        assert [r["index"] for r in quiet.records()] == [3, 4]
+        assert quiet.dropped_total == 3
+
+        sink = io.StringIO()
+        teed = EventLog(capacity=2, stream=sink)
+        for index in range(5):
+            teed.emit("teed", index=index)
+        assert rendered == ["teed"] * 5
+        # The tee saw every record, also those the ring has dropped since.
+        assert [json.loads(line)["index"]
+                for line in sink.getvalue().splitlines()] == [0, 1, 2, 3, 4]
+        assert teed.dropped_total == 3 and len(teed) == 2
+
+    def test_a_sink_dying_mid_run_stops_the_rendering_too(self, monkeypatch):
+        import io
+
+        rendered = _record_renders(monkeypatch)
+        sink = io.StringIO()
+        log = EventLog(stream=sink)
+        log.emit("one")
+        written = sink.getvalue()
+        sink.close()
+        assert log.emit("two")["event"] == "two"  # found dead: silenced
+        log.emit("three")
+        assert rendered == ["one", "two"]
+        assert json.loads(written)["event"] == "one"
+        assert [r["event"] for r in log.records()] == ["one", "two", "three"]
+        assert log.dropped_total == 0
 
     def test_correlation_ids_are_unique(self):
         ids = {new_correlation_id() for _ in range(100)}
