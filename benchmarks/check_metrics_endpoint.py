@@ -17,7 +17,11 @@ runs an FEC-audio chain to quiescence under the engine named by
 5. an unframed chain of four passthrough filters fed by a *generator*
    reads the same at both budgets too, and every element's byte totals
    equal the bytes generated: a batch's bytes are counted by the streams
-   it crosses, not summed by the filters, and must not drift either.
+   it crosses, not summed by the filters, and must not drift either;
+6. a mixed chain — framed source, FEC encoder, a byte filter, FEC
+   decoder, framed sink, so packet hops meet a framed hop and a
+   de-framing one — delivers every packet, scrapes as its snapshot, and
+   counts each hop's bytes the same at both ends.
 
 Fails (exit 1) on any violation.  Run as:
 ``PYTHONPATH=src python benchmarks/check_metrics_endpoint.py``
@@ -274,9 +278,6 @@ def check_relay(engine_name: str, base_url: str) -> int:
 
 def run_passthrough(engine_name: str, base_url: str, pump_budget: int) -> dict:
     """Generator -> 4 x PassthroughFilter -> sink, unframed; scraped totals."""
-    # Under 64 KiB in all, so no hop's buffer ever fills: a blocking write
-    # squeezed through a full buffer splits its chunk, and chunk counts
-    # would then depend on thread timing rather than on the budget.
     sizes = [1 + (index * 37) % 400 for index in range(250)]
     proxy_name = f"obs-bulk-{engine_name}-{pump_budget}"
     default_budget = filter_module.DEFAULT_PUMP_BUDGET
@@ -331,6 +332,45 @@ def check_passthrough(engine_name: str, base_url: str) -> int:
     return len(batched)
 
 
+def check_mixed(engine_name: str, base_url: str) -> int:
+    """Packet hops around a byte filter: delivery, scrape and hop totals."""
+    packets = [p.pack() for p in AudioPacketizer(
+        ToneSource(duration=0.4), packet_duration_ms=20).packet_list()]
+    proxy_name = f"obs-mixed-{engine_name}"
+    proxy = Proxy(proxy_name, engine=engine_name)
+    try:
+        control = proxy.add_stream(
+            IterableSource(packets, name="src", frame_output=True),
+            CollectorSink(name="sink", expect_frames=True),
+            name="mixed",
+            auto_start=False,
+        )
+        control.add(FecEncoderFilter(k=4, n=6, name="fec-enc"))
+        control.add(PassthroughFilter(name="bytes"))
+        control.add(FecDecoderFilter(name="fec-dec"))
+        control.start()
+        assert control.wait_for_completion(timeout=30.0), "mixed did not quiesce"
+        assert control.sink.items() == packets, "mixed chain lost packets"
+        snap = control.snapshot()
+        samples = parse_samples(fetch(f"{base_url}/metrics").decode("utf-8"))
+        totals = check_snapshot(samples, proxy_name, "mixed", snap)
+        chain = ([snap.source_stats] + list(snap.filter_stats)
+                 + [snap.sink_stats])
+        for writer, reader in zip(chain, chain[1:]):
+            assert writer["bytes_out"] == reader["bytes_in"], (
+                f"{proxy_name}: a hop counted {writer['bytes_out']} bytes "
+                f"out and {reader['bytes_in']} in"
+            )
+        print(
+            f"{engine_name:>8}: mixed packet/byte chain delivered "
+            f"{len(packets)} packets; {len(totals)} totals match, every "
+            f"hop counts the same bytes at both ends"
+        )
+        return len(totals)
+    finally:
+        proxy.shutdown()
+
+
 def main() -> int:
     engines = [os.environ["REPRO_ENGINE"]] if os.environ.get(
         "REPRO_ENGINE"
@@ -351,6 +391,7 @@ def main() -> int:
         check_engine(engine_name, base_url)
         check_relay(engine_name, base_url)
         check_passthrough(engine_name, base_url)
+        check_mixed(engine_name, base_url)
     print("OK: /metrics format valid and consistent with chain snapshots")
     return 0
 

@@ -21,19 +21,12 @@ from time import monotonic as _monotonic
 from typing import Callable, Iterable, Iterator, List, Optional
 
 from ..streams import (
-    HEADER_SIZE,
     BrokenStreamError,
-    FrameDecoder,
     NotConnectedError,
     StreamClosedError,
-    encode_frame,
-    encode_frame_batch,
+    encode_frame,  # noqa: F401 - unused; proxybench's tracer wraps it here
 )
 from .filter import Filter
-
-#: The item types that go on the wire by reference; a drawn batch is
-#: screened against them in one C-speed pass (as in the stream buffer).
-_BYTES_LIKE_TYPES = frozenset((bytes, bytearray, memoryview))
 
 #: A pull-style source callback: returns the next chunk, or None at EOF.
 SourceCallable = Callable[[], Optional[bytes]]
@@ -52,7 +45,9 @@ class SourceEndPoint(EndPoint):
     """Reads data from an external producer and writes it into the chain.
 
     Subclasses implement :meth:`produce`, returning the next chunk of bytes
-    or ``None`` at end of input.  The endpoint's DIS is unused.
+    or ``None`` at end of input.  The endpoint's DIS is unused.  With
+    ``frame_output`` each item is a packet (its DOS says so; see
+    :mod:`repro.streams.detachable`, "Packet hops").
     """
 
     type_name = "source-endpoint"
@@ -77,7 +72,7 @@ class SourceEndPoint(EndPoint):
         super().__init__(name=name, propagate_eof=close_on_eof)
         if pacing_s < 0:
             raise ValueError("pacing_s must be non-negative")
-        self.frame_output = frame_output
+        self.frame_output = self.dos.packets = frame_output
         self.pacing_s = pacing_s
         self.items_produced = 0
         self._next_due = 0.0
@@ -102,28 +97,14 @@ class SourceEndPoint(EndPoint):
         """
         return None
 
-    def _encode(self, item: bytes) -> bytes:
-        """The wire form of one produced item (framed or raw bytes)."""
-        if self.frame_output:
-            return encode_frame(item)
-        if isinstance(item, (bytes, bytearray, memoryview)):
-            return item  # queued by reference, per the buffer's contract
-        return bytes(item)
+    @staticmethod
+    def _non_empty(items: List[bytes]) -> List[bytes]:
+        """A drawn batch less its empty items, as per-item draws skip them.
 
-    def _encode_many(self, items: List[bytes]) -> List[bytes]:
-        """The wire forms of a drawn batch, in one pass.
-
-        Empty items are skipped, as per-item draws skip them; the dominant
-        all-bytes unframed case passes the items through by reference.
+        Items go downstream by reference, per the buffer's contract (which
+        also materialises anything that is not bytes-like).
         """
-        if not all(items):
-            items = [item for item in items if len(item)]
-        if self.frame_output:
-            return encode_frame_batch(items)
-        if _BYTES_LIKE_TYPES.issuperset(map(type, items)):
-            return items
-        return [item if isinstance(item, (bytes, bytearray, memoryview))
-                else bytes(item) for item in items]
+        return items if all(items) else [item for item in items if len(item)]
 
     def _deliver_batch(self, batch: List[bytes]) -> None:
         """Write an accumulated batch downstream with per-batch accounting."""
@@ -151,15 +132,11 @@ class SourceEndPoint(EndPoint):
                 else:
                     hold_armed = True  # forces the per-item path below
                 if hold_armed:
-                    data = self._encode(item)
-                    # Hold on the wire unit; _boundary_unit unwraps the
-                    # framing so predicates see the produced item, as in
-                    # cooperative mode.
-                    self._maybe_hold(data)
-                    self.dos.write(data)
-                    self._last_emitted = data
+                    self._maybe_hold(item)
+                    self.dos.write(item)
+                    self._last_emitted = item
                     self.items_produced += 1
-                    self.stats.record_output(len(data),
+                    self.stats.record_output(len(item),
                                              packets=1 if self.frame_output else 0)
                     self._notify_activity()
                     if self.pacing_s:
@@ -168,14 +145,14 @@ class SourceEndPoint(EndPoint):
                 # Unpaced, unheld bulk path: accumulate up to a budget of
                 # items and deliver them in one batched write, so the DOS
                 # lock and the downstream wakeup are paid once per batch.
-                batch = [self._encode(item)]
+                batch = [item]
                 try:
                     more = (self.produce_many(self.pump_budget - 1)
                             if self.pump_budget > 1 else None)
                     if more is not None:
                         # Bulk draw: the slice is encoded in one pass.
                         if more:
-                            batch.extend(self._encode_many(more))
+                            batch.extend(self._non_empty(more))
                     else:
                         while (len(batch) < self.pump_budget
                                and not self._stop_event.is_set()):
@@ -185,7 +162,7 @@ class SourceEndPoint(EndPoint):
                                 break
                             if not item:
                                 break
-                            batch.append(self._encode(item))
+                            batch.append(item)
                 except Exception:
                     # produce() failing mid-batch must not discard the items
                     # before it — the per-item path delivered each of those
@@ -259,7 +236,7 @@ class SourceEndPoint(EndPoint):
             # Parked even when a produce() raised mid-draw: pump()'s error
             # handler flushes the items before it, as per-item emits did.
             if items:
-                self._pending.extend(self._encode_many(items))
+                self._pending.extend(self._non_empty(items))
         queued = bool(items)
         if queued:
             self._flush_pending()
@@ -320,12 +297,6 @@ class SourceEndPoint(EndPoint):
         self.items_produced += len(batch)
         self.stats.record_output_batch(
             nbytes, len(batch), packets=len(batch) if self.frame_output else 0)
-
-    def _boundary_unit(self, unit: bytes) -> bytes:
-        """Boundary predicates see the produced item, not its framing."""
-        if self.frame_output and len(unit) >= HEADER_SIZE:
-            return unit[HEADER_SIZE:]
-        return unit
 
 
 class IterableSource(SourceEndPoint):
@@ -441,7 +412,8 @@ class SinkEndPoint(EndPoint):
     """Reads data from the chain and delivers it to an external consumer.
 
     Subclasses implement :meth:`consume`.  When ``expect_frames`` is True the
-    sink deframes the byte stream and calls :meth:`consume` once per packet;
+    sink takes packets — its DIS says so, and a byte writer's frames are
+    de-framed on the hop — and :meth:`consume` is called once per packet;
     otherwise it is called with raw chunks.
     """
 
@@ -449,8 +421,7 @@ class SinkEndPoint(EndPoint):
 
     def __init__(self, name: Optional[str] = None, expect_frames: bool = False) -> None:
         super().__init__(name=name, propagate_eof=False)
-        self.expect_frames = expect_frames
-        self._sink_decoder = FrameDecoder()
+        self.expect_frames = self.dis.packets = expect_frames
         self.items_consumed = 0
         self.eof_seen = threading.Event()
 
@@ -471,38 +442,21 @@ class SinkEndPoint(EndPoint):
 
     def transform(self, chunk: bytes):
         if self.expect_frames:
-            for packet in self._sink_decoder.feed(chunk):
-                self.stats.record_input(0, packets=1)
-                self.consume(packet)
-                self.items_consumed += 1
-        else:
-            self.consume(chunk)
-            self.items_consumed += 1
+            self.stats.record_input(0, packets=1)
+        self.consume(chunk)
+        self.items_consumed += 1
         return None
 
     def transform_chunks(self, chunks, outputs) -> None:
-        """Deliver a whole input batch through :meth:`consume_many`.
-
-        Deframing happens across the batch first, so a sink with a bulk
-        consume (the transport sink's vectored send) receives the full
-        budget of packets in one call.  Stats match the per-chunk path.
-        """
+        """Deliver a whole input batch through :meth:`consume_many`, so a
+        sink with a bulk consume (the transport sink's vectored send)
+        receives the full budget of packets in one call.  Stats match the
+        per-chunk path."""
         if self.expect_frames:
-            packets = self._deframe_batch(self._sink_decoder, chunks)
-            if packets:
-                self.stats.record_input_batch(0, len(packets),
-                                              packets=len(packets))
-                self.consume_many(packets)
-        else:
-            try:
-                self.consume_many(chunks)
-            except Exception:
-                # The whole batch was handed to consume_many at once, so
-                # it is accounted at once (a consume failing mid-batch was
-                # still *given* every chunk).
-                self._batch_in_bytes += sum(map(len, chunks))
-                self._batch_in_chunks += len(chunks)
-                raise
+            self.stats.record_input_batch(0, len(chunks), packets=len(chunks))
+        # A consume failing mid-batch was still *given* every chunk, so the
+        # batch is accounted whole either way.
+        self.consume_many(chunks)
 
     def finalize(self):
         self.eof_seen.set()
@@ -511,11 +465,6 @@ class SinkEndPoint(EndPoint):
     def wait_for_eof(self, timeout: Optional[float] = None) -> bool:
         """Block until the chain's end-of-stream reaches this sink."""
         return self.eof_seen.wait(timeout=timeout)
-
-    def is_idle(self) -> bool:
-        if self.expect_frames and self._sink_decoder.has_partial_frame():
-            return False
-        return super().is_idle()
 
 
 class CollectorSink(SinkEndPoint):

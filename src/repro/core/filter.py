@@ -9,9 +9,8 @@ Python equivalents:
 * :class:`Filter` — a byte-oriented filter running in its own thread.  Data
   read from the filter's DIS is passed to :meth:`Filter.transform`; whatever
   the transform returns is written to the filter's DOS.
-* :class:`PacketFilter` — a filter operating on framed packets (see
-  :mod:`repro.streams.framing`); FEC encoders/decoders and media transcoders
-  subclass this.
+* :class:`PacketFilter` — a filter operating on whole packets, one per
+  chunk; FEC encoders/decoders and media transcoders subclass this.
 * :class:`FilterContainer` — the paper's container used to hold groups of
   filters uploaded into a proxy.
 
@@ -38,16 +37,13 @@ from typing import Callable, Deque, Iterable, List, Optional, Union
 
 from ..streams import (
     DEFAULT_CAPACITY,
-    HEADER_SIZE,
     BrokenStreamError,
     DetachableInputStream,
     DetachableOutputStream,
-    FrameDecoder,
     NotConnectedError,
     StreamClosedError,
     StreamTimeoutError,
-    encode_frame,
-    encode_frame_batch,
+    encode_frame,  # noqa: F401 - unused; proxybench's tracer wraps it here
 )
 from .errors import FilterStateError
 from .stats import FilterStats
@@ -178,12 +174,14 @@ class Filter:
         """Replace the filter's input stream (only before the filter starts)."""
         if self._started:
             raise FilterStateError(f"{self.name}: cannot replace DIS after start")
+        dis.packets = self.dis.packets
         self.dis = dis
 
     def set_dos(self, dos: DetachableOutputStream) -> None:
         """Replace the filter's output stream (only before the filter starts)."""
         if self._started:
             raise FilterStateError(f"{self.name}: cannot replace DOS after start")
+        dos.packets = self.dos.packets
         self.dos = dos
 
     def get_id(self) -> str:
@@ -401,13 +399,12 @@ class Filter:
         The batched equivalent of calling :meth:`transform` per chunk, and
         the hook a subclass overrides to *fuse* work across the batch (the
         FEC filters run one vectorised encode/decode over every packet in
-        the pump budget instead of per-packet calls).  A batch that is
-        transformed whole is accounted by the caller, from the byte count
-        the DIS already keeps.  An implementation that can *raise*
-        mid-batch must bump ``self._batch_in_bytes`` /
-        ``self._batch_in_chunks`` as each input chunk is consumed: those
-        are what is accounted then — only the chunks it actually saw — and
-        the outputs appended so far are still delivered.
+        the pump budget instead of per-packet calls).  The batch is
+        accounted by the caller, from the byte count the DIS already keeps
+        — also when the transform raises, unless it bumped
+        ``self._batch_in_bytes`` / ``self._batch_in_chunks`` as it consumed
+        each chunk: then only the chunks it saw are.  Either way the
+        outputs appended so far are still delivered.
         """
         for chunk in chunks:
             self._batch_in_bytes += len(chunk)
@@ -419,22 +416,6 @@ class Filter:
                     outputs.append(result)
             elif result is not None:
                 outputs.extend(self._normalize_outputs(result))
-
-    def _deframe_batch(self, decoder: FrameDecoder,
-                       chunks: List[bytes]) -> List[bytes]:
-        """Decode an input batch in one frame pass, accounting its chunks.
-
-        The decoder's own counters say what it consumed, so a bad frame
-        stopping it mid-batch accounts the chunks up to and including that
-        one — as feeding and counting chunk by chunk did.
-        """
-        bytes_before = decoder.bytes_consumed
-        chunks_before = decoder.chunks_consumed
-        try:
-            return decoder.feed_many(chunks)
-        finally:
-            self._batch_in_bytes += decoder.bytes_consumed - bytes_before
-            self._batch_in_chunks += decoder.chunks_consumed - chunks_before
 
     def finalize(self) -> TransformResult:
         """Produce trailing output when the input stream ends."""
@@ -494,8 +475,7 @@ class Filter:
                 try:
                     self.transform_chunks(chunks, outputs)
                 except Exception:
-                    self._record_input(self._batch_in_bytes,
-                                       self._batch_in_chunks)
+                    self._record_failed_input(taken, len(chunks))
                     # A transform failing mid-batch must not discard the
                     # outputs of the chunks before it — the per-chunk loop
                     # delivered those before erroring, and so do we.
@@ -515,6 +495,14 @@ class Filter:
         self.stats.record_input_batch(nbytes, chunks)
         if chunks >= self.pump_budget:
             self.stats.record_budget_exhausted()
+
+    def _record_failed_input(self, taken: int, chunks: int) -> None:
+        """Account a batch whose transform raised: the chunks it tallied,
+        or all of them if it takes a batch whole (see transform_chunks)."""
+        if self._batch_in_chunks:
+            self._record_input(self._batch_in_bytes, self._batch_in_chunks)
+        else:
+            self._record_input(taken - self._input_done, chunks)
 
     # ------------------------------------------------------- cooperative pump
 
@@ -592,8 +580,7 @@ class Filter:
                     # partial-delivery contract as the threaded loop.
                     self.transform_chunks(chunks, self._pending)
                 except Exception:
-                    self._record_input(self._batch_in_bytes,
-                                       self._batch_in_chunks)
+                    self._record_failed_input(taken, len(chunks))
                     raise
                 else:
                     self._record_input(taken - self._input_done, len(chunks))
@@ -604,6 +591,8 @@ class Filter:
                 self._flush_pending()
                 return True
         if self.dis.at_eof():
+            if self.dis.fault is not None:
+                raise self.dis.fault  # a byte writer's bad frame ends us here
             if not self._finalized:
                 self._finalized = True
                 self._queue_outputs(self.finalize())
@@ -794,21 +783,13 @@ class Filter:
     #: The most recently emitted unit (kept for diagnostics and tests).
     _last_emitted: Optional[bytes] = None
 
-    def _boundary_unit(self, unit: bytes) -> bytes:
-        """The value handed to boundary predicates for ``unit``.
-
-        Byte filters hand over the chunk itself; packet filters strip the
-        framing so predicates see the application-level packet.
-        """
-        return unit
-
     def _unit_matches(self, predicate: BoundaryPredicate, unit: bytes) -> bool:
         if not isinstance(unit, bytes):
             # Predicates are written against real ``bytes`` (``startswith``
             # and friends); materialise views on this cold path only.
             unit = bytes(unit)
         try:
-            return bool(predicate(self._boundary_unit(unit)))
+            return bool(predicate(unit))
         except Exception:  # noqa: BLE001 - a broken predicate must not kill the filter
             return True
 
@@ -832,12 +813,13 @@ class Filter:
 
 
 class PacketFilter(Filter):
-    """A filter that operates on framed packets rather than raw bytes.
+    """A filter that operates on packets rather than raw bytes.
 
-    Input bytes are fed through a :class:`~repro.streams.framing.FrameDecoder`;
-    each complete packet is handed to :meth:`transform_packet`, and every
-    packet returned is re-framed onto the output stream.  Byte- and
-    packet-oriented filters can therefore be mixed freely in one chain.
+    Each input chunk is one packet, handed to :meth:`transform_packet`;
+    every (non-empty) packet returned goes downstream as one chunk.  Its DIS
+    and DOS say they carry packets, so only a hop to or from a byte element
+    is framed (see :mod:`repro.streams.detachable`, "Packet hops") and byte-
+    and packet-oriented filters can be mixed freely in one chain.
     """
 
     type_name = "packet-filter"
@@ -845,7 +827,7 @@ class PacketFilter(Filter):
     #: Result type for packet transforms: none, one, or many packets.
     PacketResult = Union[None, bytes, Iterable[bytes]]
 
-    #: When True, :meth:`transform_chunks` hands the whole batch of decoded
+    #: When True, :meth:`transform_chunks` hands the whole batch of input
     #: packets to one :meth:`transform_packets` call instead of per-packet
     #: :meth:`transform_packet` calls — the hook the FEC filters use to run
     #: a single vectorised encode/decode over the full pump budget.
@@ -857,8 +839,7 @@ class PacketFilter(Filter):
         super().__init__(name=name, read_timeout=read_timeout,
                          chunk_size=chunk_size, propagate_eof=propagate_eof,
                          pump_budget=pump_budget)
-        self._decoder = FrameDecoder()
-        self._last_packet: Optional[bytes] = None
+        self.dis.packets = self.dos.packets = True
 
     # -- packet-level hooks ----------------------------------------------------
 
@@ -886,17 +867,14 @@ class PacketFilter(Filter):
     # -- plumbing ---------------------------------------------------------------
 
     def transform(self, chunk: bytes) -> TransformResult:
-        outputs: List[bytes] = []
-        for packet in self._decoder.feed(chunk):
-            self.stats.record_input(0, packets=1)
-            outputs.extend(self._frame_all(self.transform_packet(packet)))
-        return outputs
+        self.stats.record_input(0, packets=1)
+        return self._packets_out(self.transform_packet(chunk))
 
     def transform_chunks(self, chunks: List[bytes], outputs) -> None:
-        """Decode the whole batch to packets, then transform them fused.
+        """Transform the batch's packets fused, in one call.
 
         With :attr:`fused_packet_batch` unset this is the per-chunk base
-        behaviour.  Fused, every complete packet in the batch reaches
+        behaviour.  Fused, every packet in the batch reaches
         :meth:`transform_packets` in one call — so a pump budget of FEC
         packets hits the numpy backend as one 2D array — with stats
         identical to the per-packet path.
@@ -904,45 +882,27 @@ class PacketFilter(Filter):
         if not self.fused_packet_batch:
             super().transform_chunks(chunks, outputs)
             return
-        packets = self._deframe_batch(self._decoder, chunks)
-        if not packets:
-            return
         # Per-packet accounting is record_input(0, packets=1) per packet,
         # which also bumps chunks_in — mirror both in one batched call.
-        self.stats.record_input_batch(0, len(packets), packets=len(packets))
+        self.stats.record_input_batch(0, len(chunks), packets=len(chunks))
         results: List[bytes] = []
         try:
-            self.transform_packets(packets, results)
+            self.transform_packets(chunks, results)
         finally:
             # Also when a packet mid-batch raised: see Filter.transform_chunks.
-            outputs.extend(self._frame_all(results))
+            outputs.extend(self._packets_out(results))
 
     def finalize(self) -> TransformResult:
-        return self._frame_all(self.finalize_packets())
+        return self._packets_out(self.finalize_packets())
 
-    def _frame_all(self, result: "PacketFilter.PacketResult") -> List[bytes]:
-        """Frame a packet result, accounted once for the whole of it."""
-        if result is None:
-            return []
-        if isinstance(result, (bytes, bytearray, memoryview)):
-            packets: List[bytes] = [bytes(result)]
-            framed = [encode_frame(packets[0])]
-        else:
-            packets = [bytes(item) for item in result]
-            if not packets:
-                return packets
-            framed = encode_frame_batch(packets)
-        self._last_packet = packets[-1]
-        # Per packet this was record_output(0, packets=1), chunks_out too.
-        self.stats.record_output_batch(0, len(packets), packets=len(packets))
-        return framed
-
-    def is_idle(self) -> bool:
-        return (super().is_idle() and not self._decoder.has_partial_frame())
-
-    def _boundary_unit(self, unit: bytes) -> bytes:
-        """Strip the frame header so predicates see the packet payload."""
-        return unit[HEADER_SIZE:] if len(unit) >= HEADER_SIZE else unit
+    def _packets_out(self, result: "PacketFilter.PacketResult") -> List[bytes]:
+        """A packet result as output units, accounted once for the whole."""
+        packets = self._normalize_outputs(result)
+        if packets:
+            # Per packet this was record_output(0, packets=1), chunks_out too.
+            self.stats.record_output_batch(0, len(packets),
+                                           packets=len(packets))
+        return packets
 
 
 class FilterContainer:

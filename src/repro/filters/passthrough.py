@@ -32,7 +32,7 @@ class PassthroughFilter(Filter):
 
 
 class PacketPassthroughFilter(PacketFilter):
-    """Forwards every framed packet unchanged (reframing it on the way)."""
+    """Forwards every packet unchanged."""
 
     type_name = "packet-passthrough"
 

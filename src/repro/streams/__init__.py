@@ -48,8 +48,6 @@ from .framing import (
     HEADER_SIZE,
     MAX_FRAME_SIZE,
     FrameDecoder,
-    FrameReader,
-    FrameWriter,
     encode_frame,
     encode_frame_batch,
     encode_frames,
@@ -72,8 +70,6 @@ __all__ = [
     "BrokenStreamError",
     "FramingError",
     "FrameDecoder",
-    "FrameReader",
-    "FrameWriter",
     "encode_frame",
     "encode_frame_batch",
     "encode_frames",

@@ -19,6 +19,9 @@ Data-path design (the hot path of every chain hop):
   to a deque without copying it; a read whose ``max_bytes`` covers the
   head chunk pops the same object back out — the aligned fast path moves
   a chunk through the buffer with *zero* byte copies.
+* **A written chunk is never split.**  One that does not fit waits until
+  it does, or until the buffer is empty, and lands whole (capacity is
+  overshot by at most one chunk) — so a chunk can carry a packet.
 * **Buffer-protocol splits.**  A read smaller than the head chunk no
   longer slices ``bytes``: the head is wrapped in a ``memoryview`` once
   and both the returned piece and the queued remainder are O(1) views
@@ -81,6 +84,10 @@ class StreamBuffer:
     name:
         Optional label used in error messages.
     """
+
+    #: Set when the reader takes packets: :meth:`read_chunks` then returns
+    #: a head chunk larger than the byte budget whole instead of splitting it.
+    whole_chunks = False
 
     def __init__(self, capacity: Optional[int] = DEFAULT_CAPACITY, name: str = "") -> None:
         if capacity is not None and capacity <= 0:
@@ -165,11 +172,10 @@ class StreamBuffer:
         was torn down, and :class:`StreamTimeoutError` on timeout.
 
         A bytes-like payload (``bytes``, ``bytearray``, ``memoryview``)
-        that fits the available room is queued by reference — no copy is
-        made; it becomes the unit an aligned read pops back out, and the
-        writer must not mutate it afterwards.  Only a write squeezed
-        through a nearly full bounded buffer splits the payload, as O(1)
-        views into the caller's object.
+        is queued by reference — no copy is made; it becomes the unit an
+        aligned read pops back out, and the writer must not mutate it
+        afterwards.  It is never split: on a bounded buffer it waits until
+        it fits or the buffer is empty, then lands whole.
 
         With ``force=True`` the capacity bound is ignored and the call never
         blocks: the bytes are appended even if the buffer overshoots its
@@ -193,8 +199,8 @@ class StreamBuffer:
         chunks themselves are handed over by reference, as with
         :meth:`write`), and :meth:`read_chunks` hands it back whole.  On a
         bounded buffer a batch that does not fit yet waits for room and
-        lands whole; one larger than the whole buffer is squeezed through
-        chunk by chunk, as :meth:`write` squeezes a chunk.  Timeout,
+        lands whole; one larger than the whole buffer goes in chunk by
+        chunk, each as :meth:`write` queues it.  Timeout,
         closed and broken semantics are those of :meth:`write`.  Returns
         the total bytes written.
         """
@@ -204,7 +210,7 @@ class StreamBuffer:
             # One type pass and one length pass serve the byte total, the
             # capacity test and the accounting.  A batch that doesn't fit
             # yet *waits for room and retries whole* rather than dribbling
-            # chunks through the squeeze path: the downstream reader drains
+            # in chunk by chunk: the downstream reader drains
             # in batches, so room arrives in batch-sized steps too.
             if chunks and _BYTES_LIKE_TYPES.issuperset(map(type, chunks)):
                 batch_bytes = sum(map(len, chunks))
@@ -235,7 +241,7 @@ class StreamBuffer:
                         self._not_full.notify()
                     return batch_bytes
                 if batch_bytes > self._capacity:
-                    break  # can never fit whole; squeeze chunk by chunk
+                    break  # can never fit whole; chunk by chunk below
                 self._writers_waiting += 1
                 try:
                     woken = self._not_full.wait(timeout)
@@ -255,50 +261,37 @@ class StreamBuffer:
 
     def _write_locked(self, data: bytes, timeout: Optional[float],
                       force: bool) -> int:
-        """Queue one bytes-like payload; caller holds the lock."""
-        written = 0
-        total = len(data)
-        view: Optional[memoryview] = None
-        while written < total:
+        """Queue one bytes-like payload whole, once it fits or the buffer
+        is empty; caller holds the lock."""
+        size = len(data)
+        while True:
             if self._broken:
                 raise BrokenStreamError(f"{self._name}: reader side is gone")
             if self._eof:
                 raise StreamClosedError(f"{self._name}: buffer closed for writing")
-            if self._capacity is None or force:
-                room = total - written
-            else:
-                room = self._capacity - self._size
-            if room <= 0:
-                self._writers_waiting += 1
-                try:
-                    woken = self._not_full.wait(timeout)
-                finally:
-                    self._writers_waiting -= 1
-                if not woken:
-                    raise StreamTimeoutError(
-                        f"{self._name}: timed out waiting for buffer space"
-                    )
-                continue
-            if written == 0 and room >= total:
-                chunk = data  # fast path: queue the caller's object, no copy
-                room = total
-            else:
-                if view is None:
-                    view = _as_view(data)
-                chunk = view[written:written + room]
-                room = len(chunk)
-            self._tail.append(chunk)
-            self._size += room
-            written += room
-            self._bytes_in += room
-            if self._readers_waiting:
-                self._not_empty.notify()
+            if (force or self._capacity is None or not self._size
+                    or self._size + size <= self._capacity):
+                break
+            self._writers_waiting += 1
+            try:
+                woken = self._not_full.wait(timeout)
+            finally:
+                self._writers_waiting -= 1
+            if not woken:
+                raise StreamTimeoutError(
+                    f"{self._name}: timed out waiting for buffer space"
+                )
+        self._tail.append(data)  # the caller's object, no copy
+        self._size += size
+        self._bytes_in += size
+        if self._readers_waiting:
+            self._not_empty.notify()
         if self._writers_waiting and (
                 self._capacity is None or self._size < self._capacity):
             # Chained wake: room remains and another writer is parked (the
             # read-side notify wakes only one writer at a time).
             self._not_full.notify()
-        return written
+        return size
 
     def close_for_writing(self) -> None:
         """Mark end-of-stream.  Readers drain remaining data, then see EOF."""
@@ -442,7 +435,8 @@ class StreamBuffer:
                 allowance = max_bytes - taken
                 if max_chunk is not None and max_chunk < allowance:
                     allowance = max_chunk
-                if len(head) <= allowance:
+                if len(head) <= allowance or (not chunks
+                                              and self.whole_chunks):
                     self._chunks.popleft()
                     piece = head
                 elif not chunks or (max_chunk is not None

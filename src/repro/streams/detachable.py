@@ -32,6 +32,17 @@ Each half is in one of three externally visible states:
 
 The paper exposes the transient pause state through a ``swflag`` ("switch
 flag"); here it is the :attr:`switching` property.
+
+Packet hops
+-----------
+
+Each half says whether it carries whole packets (``packets``, set by packet
+elements; one chunk is one packet) or bytes, and every (re)attach decides
+the hop: packet → packet hands the packets over by reference, packet → byte
+frames them on delivery, byte → packet de-frames them on delivery.  A bad
+frame — or one that can never complete, because the stream ended or a
+packet writer took over — ends the stream for the *reader*, after the
+packets before it (see ``docs/ARCHITECTURE.md``, "Packet hops").
 """
 
 from __future__ import annotations
@@ -43,10 +54,12 @@ from typing import Callable, Iterable, List, Optional
 from .buffer import DEFAULT_CAPACITY, StreamBuffer
 from .exceptions import (
     AlreadyConnectedError,
+    FramingError,
     NotConnectedError,
     StreamClosedError,
     StreamTimeoutError,
 )
+from .framing import FrameDecoder, encode_frame_batch
 
 #: Default time (seconds) a write will wait for a paused stream to be
 #: reconnected before raising ``NotConnectedError``.  ``None`` would wait
@@ -110,6 +123,16 @@ class _ListenerMixin:
                 pass
 
 
+def _frame_packets(packets) -> List[bytes]:
+    """A packet writer's batch as frames for a byte reader (empties dropped)."""
+    return encode_frame_batch([packet for packet in packets if len(packet)])
+
+
+def _nothing(chunks) -> List[bytes]:
+    """Whatever arrives after a framing fault: the reader never sees it."""
+    return []
+
+
 def _next_id() -> int:
     global _counter
     with _counter_lock:
@@ -129,6 +152,9 @@ class DetachableOutputStream(_ListenerMixin):
     is (re)attached to a sink and when it is closed — the signals an
     event-driven pump needs to retry output that was parked across a splice.
     """
+
+    #: Whether the writer emits whole packets (see "Packet hops" above).
+    packets = False
 
     def __init__(self, name: Optional[str] = None,
                  reconnect_wait: Optional[float] = DEFAULT_RECONNECT_WAIT) -> None:
@@ -463,7 +489,8 @@ class DetachableInputStream(_ListenerMixin):
     Subscribers registered with :meth:`subscribe` are notified when bytes
     arrive, when the source closes (end of stream), and when the DIS itself
     is closed — the readiness signals an event-driven pump needs instead of
-    polling ``read()`` with a timeout.
+    polling ``read()`` with a timeout.  ``bytes_received`` counts what lands
+    in the buffer after the hop's conversion (see "Packet hops" above).
     """
 
     def __init__(self, name: Optional[str] = None,
@@ -478,8 +505,29 @@ class DetachableInputStream(_ListenerMixin):
         self._closed = False
         self._source_closed = False
         self._listeners: List[StreamListener] = []
+        # The hop's conversion (None: chunks land as they are), chosen on
+        # every attach; the decoder of a byte writer's frames is kept across
+        # reattaches, so a byte stream resumed mid-frame still completes it.
+        self._convert: Optional[Callable[[Iterable[bytes]], List[bytes]]] = None
+        self._decoder: Optional[FrameDecoder] = None
+        self._bad_frame: Optional[FramingError] = None  # met, not yet published
+        self._fault: Optional[FramingError] = None
 
     # ------------------------------------------------------------ properties
+
+    @property
+    def packets(self) -> bool:
+        """Whether the reader takes whole packets (see "Packet hops")."""
+        return self._buffer.whole_chunks
+
+    @packets.setter
+    def packets(self, value: bool) -> None:
+        self._buffer.whole_chunks = bool(value)
+
+    @property
+    def fault(self) -> Optional[FramingError]:
+        """The framing error that ended this stream for the reader, if any."""
+        return self._fault
 
     @property
     def source(self) -> Optional[DetachableOutputStream]:
@@ -537,6 +585,7 @@ class DetachableInputStream(_ListenerMixin):
     # ------------------------------------------- callbacks from the DOS side
 
     def _on_attached(self, dos: DetachableOutputStream) -> None:
+        stranded = 0
         with self._lock:
             if self._closed:
                 raise StreamClosedError(f"{self.name}: closed")
@@ -544,7 +593,23 @@ class DetachableInputStream(_ListenerMixin):
             self._connected = True
             self._switching = False
             self._source_closed = False
+            if self._fault is None:
+                # The hop's kind is decided here, at every (re)attach.
+                if dos.packets == self.packets:
+                    self._convert = None
+                elif dos.packets:
+                    self._convert = _frame_packets
+                else:
+                    if self._decoder is None:
+                        self._decoder = FrameDecoder()
+                    self._convert = self._deframe
+                if dos.packets and self._decoder is not None:
+                    stranded = self._decoder.pending_bytes
             self._state_changed.notify_all()
+        if stranded:
+            self._break(FramingError(
+                f"{self.name}: a packet writer took over inside a frame "
+                f"({stranded} bytes pending)"))
 
     def _on_paused(self) -> None:
         with self._lock:
@@ -565,6 +630,31 @@ class DetachableInputStream(_ListenerMixin):
             self._connected = False
             self._source = None
             self._state_changed.notify_all()
+        if (self._fault is None and self._decoder is not None
+                and self._decoder.has_partial_frame()):
+            self._fault = FramingError(
+                f"{self.name}: end of stream inside a frame "
+                f"({self._decoder.pending_bytes} bytes pending)")
+        self._buffer.close_for_writing()
+        self._fire_listeners()
+
+    def _deframe(self, chunks: Iterable[bytes]) -> List[bytes]:
+        """The packets a byte writer's chunks complete, up to a bad frame."""
+        packets: List[bytes] = []
+        try:
+            self._decoder.feed_many(chunks, packets)
+        except FramingError as exc:
+            # Published by receive_many once the packets before it landed:
+            # a reader seeing the fault first would drop them.
+            self._bad_frame = exc
+        return packets
+
+    def _break(self, error: FramingError) -> None:
+        """End the stream for the reader with ``error``, after what is
+        already buffered; anything written afterwards is dropped."""
+        self._fault = error
+        self._bad_frame = None
+        self._convert = _nothing
         self._buffer.close_for_writing()
         self._fire_listeners()
 
@@ -586,6 +676,8 @@ class DetachableInputStream(_ListenerMixin):
         """
         if self._closed:
             raise StreamClosedError(f"{self.name}: receive on closed stream")
+        if self._convert is not None:
+            return self.receive_many((data,), timeout=timeout, force=force)
         written = self._buffer.write(data, timeout=timeout, force=force)
         if written:
             self._fire_listeners()
@@ -601,6 +693,9 @@ class DetachableInputStream(_ListenerMixin):
         """
         if self._closed:
             raise StreamClosedError(f"{self.name}: receive on closed stream")
+        convert = self._convert
+        if convert is not None:
+            chunks = convert(chunks)
         before = self._buffer.bytes_written
         try:
             written = self._buffer.write_chunks(chunks, timeout=timeout,
@@ -613,6 +708,8 @@ class DetachableInputStream(_ListenerMixin):
             raise
         if written:
             self._fire_listeners()
+        if self._bad_frame is not None:
+            self._break(self._bad_frame)
         return written
 
     # ------------------------------------------------------------------ read
@@ -642,6 +739,8 @@ class DetachableInputStream(_ListenerMixin):
             # Buffer level dropped: wake subscribers (an event engine gates
             # upstream elements on this buffer's high-water mark).
             self._fire_listeners()
+        elif self._fault is not None:
+            raise self._fault
         return chunk
 
     def read_chunks(self, max_bytes: int = 65536, timeout: Optional[float] = None,
@@ -667,6 +766,8 @@ class DetachableInputStream(_ListenerMixin):
             # Buffer level dropped: wake subscribers (an event engine gates
             # upstream elements on this buffer's high-water mark).
             self._fire_listeners()
+        elif self._fault is not None:
+            raise self._fault
         return chunks
 
     def interrupt_read(self) -> None:
@@ -712,8 +813,9 @@ class DetachableInputStream(_ListenerMixin):
         self._fire_listeners()
 
     def at_eof(self) -> bool:
-        """True when no byte will ever be readable again."""
-        if self._closed:
+        """True when no byte will ever be readable again (the reader then
+        meets the :attr:`fault`, if there is one)."""
+        if self._closed or self._fault is not None:
             return self._buffer.is_empty()
         return self._source_closed and self._buffer.is_empty()
 

@@ -9,19 +9,18 @@ detachable-stream plumbing:
 * each frame is ``MAGIC (1 byte) | length (4 bytes, big-endian) | payload``;
 * the magic byte catches de-synchronisation (e.g. a filter that corrupted
   the byte stream) early rather than silently mis-parsing lengths;
-* :class:`FrameWriter` / :class:`FrameReader` wrap a DOS / DIS respectively;
 * :func:`encode_frame` / :class:`FrameDecoder` are the stateless /
-  incremental building blocks used by the network simulator and the tests.
+  incremental building blocks.  A chain uses them only on a hop where a
+  packet writer meets a byte reader or the other way round: between two
+  packet elements packets cross whole (see :mod:`.detachable`).
 """
 
 from __future__ import annotations
 
 import struct
-from collections import deque
-from typing import Deque, Iterator, List, Optional
+from typing import List, Optional
 
-from .detachable import DetachableInputStream, DetachableOutputStream
-from .exceptions import FramingError, StreamTimeoutError
+from .exceptions import FramingError
 
 #: Single sync byte prepended to every frame.
 FRAME_MAGIC = 0xC5
@@ -78,8 +77,16 @@ class FrameDecoder:
         self.bytes_consumed = 0
         self.chunks_consumed = 0
 
-    def feed(self, chunk: bytes) -> List[bytes]:
-        """Add ``chunk`` and return the list of payloads completed by it."""
+    def feed(self, chunk: bytes,
+             out: Optional[List[bytes]] = None) -> List[bytes]:
+        """Add ``chunk`` and return the list of payloads completed by it.
+
+        Given ``out``, the payloads are appended to it (and it is returned),
+        so a caller keeps the frames before a bad one when this raises.
+        """
+        if out is None:
+            out = []
+        first = len(out)
         self.chunks_consumed += 1
         self.bytes_consumed += len(chunk)
         pending = self._pending
@@ -90,7 +97,6 @@ class FrameDecoder:
             # Nothing buffered: parse the chunk in place and buffer only
             # the partial frame it may end with.
             data = chunk if chunk.__class__ is bytes else memoryview(chunk)
-        out: List[bytes] = []
         pos = 0
         end = len(data)
         try:
@@ -112,24 +118,27 @@ class FrameDecoder:
         finally:
             # Also on a framing error: the frames before the bad one count
             # and the bad frame stays buffered, as a per-frame parse leaves it.
-            self.frames_decoded += len(out)
+            self.frames_decoded += len(out) - first
             if data is pending:
                 del pending[:pos]
             elif pos < end:
                 pending.extend(data[pos:])
         return out
 
-    def feed_many(self, chunks: "List[bytes]") -> List[bytes]:
-        """Decode a batch of chunks: ``feed`` per chunk, concatenated.
+    def feed_many(self, chunks: "List[bytes]",
+                  out: Optional[List[bytes]] = None) -> List[bytes]:
+        """Decode a batch of chunks: ``feed`` per chunk, concatenated (and,
+        given ``out``, appended to it, as :meth:`feed` does).
 
         The whole-frame path: while nothing is buffered, a ``bytes`` chunk
-        that is exactly one frame — what every packet writer hands over —
-        is validated and its payload taken with one slice.  Anything else
+        that is exactly one frame — what a framed hop hands over — is
+        validated and its payload taken with one slice.  Anything else
         (a split frame, several frames in a chunk, a bad header, a view)
         goes through :meth:`feed`, chunk by chunk, until the buffer is
         empty again.
         """
-        out: List[bytes] = []
+        if out is None:
+            out = []
         append = out.append
         unpack_from = _HEADER.unpack_from
         pending = self._pending
@@ -147,7 +156,7 @@ class FrameDecoder:
                             whole += 1
                             whole_bytes += size
                             continue
-                out.extend(self.feed(chunk))
+                self.feed(chunk, out)
         finally:
             self.frames_decoded += whole
             self.bytes_consumed += whole_bytes
@@ -171,84 +180,3 @@ class FrameDecoder:
 
     def has_partial_frame(self) -> bool:
         return bool(self._pending)
-
-
-class FrameWriter:
-    """Write framed packets onto a :class:`DetachableOutputStream`."""
-
-    def __init__(self, dos: DetachableOutputStream) -> None:
-        self._dos = dos
-        self.packets_written = 0
-
-    @property
-    def stream(self) -> DetachableOutputStream:
-        return self._dos
-
-    def write_packet(self, payload: bytes, timeout: Optional[float] = None) -> None:
-        """Frame ``payload`` and write it to the underlying stream."""
-        self._dos.write(encode_frame(payload), timeout=timeout)
-        self.packets_written += 1
-
-    def write_packets(self, payloads: "List[bytes]",
-                      timeout: Optional[float] = None) -> None:
-        for payload in payloads:
-            self.write_packet(payload, timeout=timeout)
-
-    def flush(self) -> None:
-        self._dos.flush()
-
-    def close(self) -> None:
-        self._dos.close()
-
-
-class FrameReader:
-    """Read framed packets from a :class:`DetachableInputStream`.
-
-    ``read_packet`` blocks until a complete frame is available, raises
-    :class:`StreamTimeoutError` when ``timeout`` elapses first, and returns
-    ``None`` at end-of-stream.  A truncated trailing frame at end-of-stream
-    raises :class:`FramingError` because it means data was lost mid-frame.
-    """
-
-    def __init__(self, dis: DetachableInputStream) -> None:
-        self._dis = dis
-        self._decoder = FrameDecoder()
-        self._queue: Deque[bytes] = deque()
-        self.packets_read = 0
-
-    @property
-    def stream(self) -> DetachableInputStream:
-        return self._dis
-
-    def read_packet(self, timeout: Optional[float] = None) -> Optional[bytes]:
-        """Return the next payload, ``None`` at end-of-stream."""
-        while not self._queue:
-            try:
-                chunk = self._dis.read(65536, timeout=timeout)
-            except StreamTimeoutError:
-                raise
-            if chunk == b"":
-                if self._decoder.has_partial_frame():
-                    raise FramingError(
-                        "end of stream inside a frame "
-                        f"({self._decoder.pending_bytes} bytes pending)")
-                return None
-            self._queue.extend(self._decoder.feed(chunk))
-        self.packets_read += 1
-        return self._queue.popleft()
-
-    def read_all(self, timeout: Optional[float] = None) -> List[bytes]:
-        """Drain the stream to end-of-stream and return every payload."""
-        out: List[bytes] = []
-        while True:
-            packet = self.read_packet(timeout=timeout)
-            if packet is None:
-                return out
-            out.append(packet)
-
-    def __iter__(self) -> Iterator[bytes]:
-        while True:
-            packet = self.read_packet()
-            if packet is None:
-                return
-            yield packet

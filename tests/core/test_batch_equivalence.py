@@ -9,10 +9,6 @@ read as it does at budget 1, where each unit is drawn, transformed,
 written and counted on its own — on all three engines, from a list as from
 a generator, and when a transform or the source's iterator raises in the
 middle of a batch.
-
-Streams here stay under 64 KiB in all: a *blocking* write squeezed through
-a full buffer splits its chunk (by design), which would make chunk counts a
-matter of thread timing rather than of the budget.
 """
 
 import threading

@@ -7,6 +7,7 @@ import pytest
 from repro.core import (
     CollectorSink,
     CompositionError,
+    ControlThread,
     Filter,
     IterableSource,
     null_proxy,
@@ -128,9 +129,13 @@ class TestInsertion:
         packets = [f"secret-{i}".encode() for i in range(50)]
         source = IterableSource(packets, frame_output=True, pacing_s=0.002)
         sink = CollectorSink(expect_frames=True)
-        control = null_proxy(source, sink)
+        # Composed before start: added one after the other to a flowing
+        # stream, any packet emitted between the two calls would reach the
+        # sink XORed once.
+        control = ControlThread(source, sink, auto_start=False)
         control.add(XorCipherFilter(key=b"k", name="enc"))
         control.add(XorCipherFilter(key=b"k", name="dec"))
+        control.start()
         assert control.wait_for_completion(timeout=20.0)
         assert sink.items() == packets
         control.shutdown()

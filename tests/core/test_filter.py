@@ -6,7 +6,7 @@ import time
 import pytest
 
 from repro.core import Filter, FilterContainer, FilterStateError, PacketFilter
-from repro.streams import FrameReader, FrameWriter, encode_frame
+from repro.streams import encode_frame
 
 
 class DoublingFilter(Filter):
@@ -293,42 +293,54 @@ class PacketDoubler(PacketFilter):
         return [packet, packet]
 
 
+def _read_all(dis):
+    out = []
+    while True:
+        chunks = dis.read_chunks(1 << 16, timeout=1.0)
+        if not chunks:
+            return out
+        out.extend(chunks)
+
+
 class TestPacketFilter:
     def _wire(self, filter_obj):
+        """Packet ends on both sides: packets cross whole, unframed."""
         from repro.streams import DetachableInputStream, DetachableOutputStream
         up = DetachableOutputStream("up")
+        up.packets = True
         up.connect(filter_obj.dis)
         down = DetachableInputStream("down")
+        down.packets = True
         filter_obj.dos.connect(down)
-        return FrameWriter(up), FrameReader(down), up
+        return up, down
 
     def test_packet_passthrough_round_trip(self):
         f = PacketFilter()
-        writer, reader, up = self._wire(f)
+        up, down = self._wire(f)
         f.start()
-        writer.write_packet(b"pkt-1")
-        writer.write_packet(b"pkt-2")
+        up.write(b"pkt-1")
+        up.write(b"pkt-2")
         up.close()
         f.wait_finished(timeout=5.0)
-        assert reader.read_all(timeout=1.0) == [b"pkt-1", b"pkt-2"]
+        assert _read_all(down) == [b"pkt-1", b"pkt-2"]
 
     def test_packet_transform_multiplies(self):
         f = PacketDoubler()
-        writer, reader, up = self._wire(f)
+        up, down = self._wire(f)
         f.start()
-        writer.write_packet(b"dup")
+        up.write(b"dup")
         up.close()
         f.wait_finished(timeout=5.0)
-        assert reader.read_all(timeout=1.0) == [b"dup", b"dup"]
+        assert _read_all(down) == [b"dup", b"dup"]
 
     def test_packet_stats_count_packets(self):
         f = PacketDoubler()
-        writer, reader, up = self._wire(f)
+        up, down = self._wire(f)
         f.start()
-        writer.write_packets([b"a", b"b", b"c"])
+        up.write_many([b"a", b"b", b"c"])
         up.close()
         f.wait_finished(timeout=5.0)
-        reader.read_all(timeout=1.0)
+        _read_all(down)
         snap = f.stats.snapshot()
         assert snap["packets_in"] == 3
         assert snap["packets_out"] == 6
@@ -336,16 +348,17 @@ class TestPacketFilter:
     def test_frames_split_across_chunks_are_reassembled(self):
         f = PacketFilter(chunk_size=3)  # force tiny reads
         from repro.streams import DetachableInputStream, DetachableOutputStream
-        up = DetachableOutputStream()
+        up = DetachableOutputStream()  # byte ends: the hops frame
         up.connect(f.dis)
         down = DetachableInputStream()
         f.dos.connect(down)
-        reader = FrameReader(down)
         f.start()
-        up.write(encode_frame(b"a-long-payload-spanning-reads"))
+        frame = encode_frame(b"a-long-payload-spanning-reads")
+        for start in range(0, len(frame), 3):
+            up.write(frame[start:start + 3])
         up.close()
         f.wait_finished(timeout=5.0)
-        assert reader.read_all(timeout=1.0) == [b"a-long-payload-spanning-reads"]
+        assert _read_all(down) == [frame]
 
 
 class TestFilterContainer:

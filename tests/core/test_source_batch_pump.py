@@ -13,7 +13,6 @@ import pytest
 from repro.core import CollectorSink, IterableSource, Proxy
 from repro.core.filter import DEFAULT_PUMP_BUDGET
 from repro.runtime import AsyncioEngine, EventEngine
-from repro.streams import HEADER_SIZE
 from repro.transport import LoopbackTransport, TransportSource
 
 ENGINES = {"event": EventEngine, "asyncio": AsyncioEngine}
@@ -58,7 +57,8 @@ def test_eof_right_after_a_full_budget_batch_is_seen(engine, batches):
     assert sink.items() == payloads
     assert source.items_produced == len(payloads)
     assert stats["chunks_out"] == stats["packets_out"] == len(payloads)
-    assert stats["bytes_out"] == sum(len(p) + HEADER_SIZE for p in payloads)
+    # A packet -> packet hop: payload bytes, no frame headers.
+    assert stats["bytes_out"] == sum(map(len, payloads))
 
 
 def test_a_short_batch_then_silence_then_more(engine):
@@ -98,14 +98,15 @@ def test_a_list_backlog_is_drawn_by_slices_and_accounted_once(engine,
         assert control.wait_for_completion(timeout=10.0)
         stats = control.snapshot().source_stats
     sent = [item for item in items if item]  # empty items are skipped
-    overhead = HEADER_SIZE if frame_output else 0
     assert (sink.items() if frame_output else [sink.data()]) \
         == (sent if frame_output else [b"".join(sent)])
     assert source.items_produced == stats["chunks_out"] == len(sent)
     assert stats["packets_out"] == (len(sent) if frame_output else 0)
-    assert stats["bytes_out"] == sum(len(item) + overhead for item in sent)
-    # Kept by reference to the last wire unit, not a copy of each payload.
-    assert source._last_emitted[overhead:] == sent[-1]
+    # Payload bytes either way: a packet -> packet hop carries no headers.
+    assert stats["bytes_out"] == sum(map(len, sent))
+    assert stats["bytes_out"] == control.snapshot().sink_stats["bytes_in"]
+    # Kept by reference to the last item, not a copy of each payload.
+    assert source._last_emitted is sent[-1]
 
 
 def test_a_produce_error_mid_draw_keeps_the_items_before_it(engine):

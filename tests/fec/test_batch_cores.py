@@ -22,7 +22,6 @@ from repro.fec import (
     FecPacketError,
 )
 from repro.filters import FecDecoderFilter, FecEncoderFilter
-from repro.streams.framing import encode_frame
 
 ENGINES = ["threaded", "event", "asyncio"]
 
@@ -269,7 +268,6 @@ class TestDecoderCore:
         damaged = bytearray(wire[offender])
         damaged[3] ^= 0xFF  # the k byte, as corrupt_p does at offset % len 3
         wire[offender] = bytes(damaged)
-        framed = [encode_frame(p) for p in wire]
 
         per_packet = FecDecoderFilter()
         per_packet.fused_packet_batch = False
@@ -278,10 +276,11 @@ class TestDecoderCore:
         for decoder in (per_packet, fused):
             outputs = []
             with pytest.raises(FecCodingError):
-                decoder.transform_chunks(framed, outputs)
+                # A packet filter's chunks are bare packets.
+                decoder.transform_chunks(wire, outputs)
             results.append((outputs, decoder.decoder_stats))
         assert results[0] == results[1]
-        assert results[1][0] == [encode_frame(p) for p in payloads[:12]]
+        assert results[1][0] == payloads[:12]
         assert results[1][1].groups_decoded == 3
 
 

@@ -12,9 +12,10 @@ What that pins: bytes come out as the model's prefix, in order; ``read``
 returns ``min(max_bytes, available)``; a chunk read whole is the writer's
 own object and a split is a view over it; a list handed to the reader is
 never the writer's list, and mutating the writer's list afterwards changes
-nothing; a batch that does not fit waits whole (here: times out with
-nothing written), one larger than the buffer is squeezed chunk by chunk,
-a forced one overshoots; closed and empty-open reads and writes raise what
+nothing; a chunk or a batch that does not fit waits whole (here: times out
+with nothing written) — a chunk lands anyway on an empty buffer, and one
+batch larger than the buffer goes in chunk by chunk; a forced one
+overshoots; closed and empty-open reads and writes raise what
 they always raised.  Every call uses ``timeout=0``: a call that would
 block says so at once, and the model says whether it should have.
 """
@@ -93,20 +94,17 @@ class _Model:
     # -- writes: returns the exception class the real call must raise ------
 
     def _queue_one(self, data, force):
-        """``_write_locked``: whole if it fits, else squeeze and block."""
+        """``_write_locked``: whole once it fits or the buffer is empty,
+        else block (never split)."""
         if self.closed:
             return StreamClosedError
         obj = data if isinstance(data, BYTES_LIKE) else None
         raw = bytes(data)
-        room = (len(raw) if force or self.capacity is None
-                else self.capacity - self.size)
-        if room >= len(raw):
+        if (force or self.capacity is None or not self.pieces
+                or self.size + len(raw) <= self.capacity):
             self.pieces.append(_Piece(obj, raw, 0, len(raw)))
             self.written += len(raw)
             return None
-        if room > 0:
-            self.pieces.append(_Piece(obj, raw, 0, room))
-            self.written += room
         return StreamTimeoutError
 
     def write(self, data, force):

@@ -3,15 +3,14 @@
 import pytest
 
 from repro.streams import (
+    DetachableInputStream,
+    DetachableOutputStream,
     FramingError,
     FrameDecoder,
-    FrameReader,
-    FrameWriter,
     HEADER_SIZE,
     StreamTimeoutError,
     encode_frame,
     encode_frames,
-    make_pipe,
 )
 
 
@@ -94,16 +93,19 @@ class TestFrameDecoder:
         assert not decoder.has_partial_frame()
 
     def test_a_long_framed_stream_does_not_grow_the_decoder(self):
-        """50 000 frames through a PacketFilter: the decoder behind it must
-        hold O(1) payloads, not one per packet ever decoded."""
+        """50 000 frames over a byte -> packet hop: the decoder behind it
+        must hold O(1) payloads, not one per packet ever decoded."""
         from repro.core.filter import PacketFilter
 
         filter_obj = PacketFilter()
+        up = DetachableOutputStream()  # a byte writer: the hop de-frames
+        up.connect(filter_obj.dis)
         payload = bytes(320)
         batch = [encode_frames([payload] * 50)] * 10
         for _ in range(100):
-            filter_obj.transform_chunks(batch, [])
-        decoder = filter_obj._decoder
+            up.write_many(batch)
+            assert len(filter_obj.dis.read_chunks(1 << 20, timeout=0)) == 500
+        decoder = filter_obj.dis._decoder
         assert decoder.frames_decoded == 50_000
         # No container on the decoder holds anything between frames.
         assert [len(value) for value in vars(decoder).values()
@@ -111,63 +113,63 @@ class TestFrameDecoder:
         assert decoder.packets() == []
 
 
-class TestFrameReaderWriter:
-    def test_round_trip_over_pipe(self):
-        dos, dis = make_pipe()
-        writer = FrameWriter(dos)
-        reader = FrameReader(dis)
-        writer.write_packet(b"packet-1")
-        writer.write_packet(b"packet-2")
-        assert reader.read_packet(timeout=1.0) == b"packet-1"
-        assert reader.read_packet(timeout=1.0) == b"packet-2"
+def _packet_pipe(writer_packets, reader_packets):
+    """A pipe with the given ends; the kinds are set before the connect,
+    which is where the hop is decided."""
+    dos, dis = DetachableOutputStream(), DetachableInputStream()
+    dos.packets, dis.packets = writer_packets, reader_packets
+    dos.connect(dis)
+    return dos, dis
 
-    def test_read_packet_returns_none_at_eof(self):
-        dos, dis = make_pipe()
-        writer = FrameWriter(dos)
-        reader = FrameReader(dis)
-        writer.write_packet(b"last")
-        writer.close()
-        assert reader.read_packet(timeout=1.0) == b"last"
-        assert reader.read_packet(timeout=1.0) is None
 
-    def test_read_packet_times_out(self):
-        _dos, dis = make_pipe()
-        reader = FrameReader(dis)
-        with pytest.raises(StreamTimeoutError):
-            reader.read_packet(timeout=0.05)
+class TestPacketPipe:
+    """A pipe whose ends carry packets frames only where bytes meet them."""
 
-    def test_truncated_stream_raises(self):
-        dos, dis = make_pipe()
-        reader = FrameReader(dis)
-        frame = encode_frame(b"never finished")
-        dos.write(frame[:-3])
+    def test_packets_cross_a_packet_pipe_whole_and_unframed(self):
+        dos, dis = _packet_pipe(True, True)
+        packet = b"packet-1"
+        dos.write_many([packet, b"", b"packet-2"])  # the empty one is dropped
+        got = dis.read_chunks(timeout=1.0)
+        assert got == [b"packet-1", b"packet-2"] and got[0] is packet
+        assert dis.bytes_received == dos.bytes_written == 16
+
+    def test_a_packet_writer_into_a_byte_reader_is_framed(self):
+        dos, dis = _packet_pipe(True, False)
+        dos.write_many([b"packet-1", b""])
+        dos.write(b"packet-2")
+        assert dis.read_chunks(timeout=1.0) == [encode_frame(b"packet-1"),
+                                                encode_frame(b"packet-2")]
+        assert dos.bytes_written == 2 * (HEADER_SIZE + 8)
+
+    def test_a_byte_writer_into_a_packet_reader_is_deframed(self):
+        dos, dis = _packet_pipe(False, True)
+        payloads = [bytes([i]) * i for i in range(20)]  # 0: an empty packet
+        stream = encode_frames(payloads)
+        for start in range(0, len(stream), 7):
+            dos.write(stream[start:start + 7])
         dos.close()
+        assert dis.read_chunks(1 << 16, timeout=1.0) == payloads[1:]
+        assert dis.read_chunks(timeout=1.0) == []  # end of stream
+        assert dos.bytes_written == sum(map(len, payloads))
+
+    def test_read_times_out_while_open_and_empty(self):
+        _dos, dis = _packet_pipe(False, True)
+        with pytest.raises(StreamTimeoutError):
+            dis.read_chunks(timeout=0.05)
+
+    def test_a_truncated_stream_raises_after_the_packets_before_it(self):
+        dos, dis = _packet_pipe(False, True)
+        dos.write(encode_frame(b"whole") + encode_frame(b"never finished")[:-3])
+        dos.close()
+        assert dis.read_chunks(timeout=1.0) == [b"whole"]
         with pytest.raises(FramingError):
-            reader.read_packet(timeout=1.0)
+            dis.read_chunks(timeout=1.0)
+        assert dis.at_eof() and isinstance(dis.fault, FramingError)
 
-    def test_write_packets_and_read_all(self):
-        dos, dis = make_pipe()
-        writer = FrameWriter(dos)
-        reader = FrameReader(dis)
-        payloads = [bytes([i]) * i for i in range(1, 20)]
-        writer.write_packets(payloads)
-        writer.close()
-        assert reader.read_all(timeout=1.0) == payloads
-
-    def test_iteration_protocol(self):
-        dos, dis = make_pipe()
-        writer = FrameWriter(dos)
-        reader = FrameReader(dis)
-        writer.write_packets([b"a", b"b", b"c"])
-        writer.close()
-        assert list(reader) == [b"a", b"b", b"c"]
-
-    def test_counters(self):
-        dos, dis = make_pipe()
-        writer = FrameWriter(dos)
-        reader = FrameReader(dis)
-        writer.write_packets([b"1", b"2"])
-        writer.close()
-        reader.read_all(timeout=1.0)
-        assert writer.packets_written == 2
-        assert reader.packets_read == 2
+    def test_a_bad_frame_fails_the_reader_not_the_writer(self):
+        dos, dis = _packet_pipe(False, True)
+        dos.write_many([encode_frame(b"one"), b"\x00garbage", encode_frame(b"x")])
+        dos.write(encode_frame(b"dropped"))  # after the fault: never read
+        assert dis.read_chunks(timeout=1.0) == [b"one"]
+        with pytest.raises(FramingError, match="magic"):
+            dis.read_chunks(timeout=1.0)
