@@ -173,7 +173,8 @@ class RpcConnection:
         body = self._recv_exact(length, timeout)
         try:
             payload = json.loads(body.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError,
+                RecursionError) as exc:  # nesting deeper than the parser
             raise RpcError(f"malformed RPC body: {exc}") from exc
         if not isinstance(payload, dict):
             raise RpcError(

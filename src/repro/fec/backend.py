@@ -24,13 +24,13 @@ Backends are held in a process-wide registry.  Selection, in priority order:
 
 from __future__ import annotations
 
-import os
 from abc import ABC, abstractmethod
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Union
+from typing import List, Optional, Sequence
 
 import numpy as np
 
+from ..registry import Registry
 from .gf256 import MUL_TABLE, gf_mul
 
 #: Environment variable consulted by :func:`get_backend` when no explicit
@@ -188,41 +188,21 @@ class NumpyGFBackend(GFBackend):
         return MUL_TABLE[matrix.T]
 
 
-_REGISTRY: Dict[str, GFBackend] = {}
-_DEFAULT_NAME: Optional[str] = None
+_BACKENDS: Registry[GFBackend] = Registry(
+    "GF backend", GFBackend, BACKEND_ENV_VAR, GFBackendError, factories=False
+)
+
+#: ``available_backends()`` and friends: the registry's own methods are the
+#: public functions.
+available_backends = _BACKENDS.available
+set_default_backend = _BACKENDS.set_default
+resolve_backend = _BACKENDS.resolve
 
 
 def register_backend(backend: GFBackend, make_default: bool = False) -> GFBackend:
     """Add a backend to the registry (replacing any same-named backend)."""
-    if not backend.name:
-        raise GFBackendError("backend must define a non-empty name")
-    _REGISTRY[backend.name] = backend
-    global _DEFAULT_NAME
-    if make_default or _DEFAULT_NAME is None:
-        _DEFAULT_NAME = backend.name
+    _BACKENDS.register(backend.name, backend, make_default)
     return backend
-
-
-def available_backends() -> List[str]:
-    """Names of every registered backend."""
-    return sorted(_REGISTRY)
-
-
-def set_default_backend(name: str) -> GFBackend:
-    """Make ``name`` the process-wide default backend and return it."""
-    backend = _lookup(name)
-    global _DEFAULT_NAME
-    _DEFAULT_NAME = backend.name
-    return backend
-
-
-def _lookup(name: str) -> GFBackend:
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise GFBackendError(
-            f"unknown GF backend {name!r}; available: {', '.join(available_backends())}"
-        ) from None
 
 
 def get_backend(name: Optional[str] = None) -> GFBackend:
@@ -232,22 +212,7 @@ def get_backend(name: Optional[str] = None) -> GFBackend:
     default (numpy).  Unknown names raise :class:`GFBackendError` so typos
     never silently select the wrong engine.
     """
-    if name is None:
-        name = os.environ.get(BACKEND_ENV_VAR) or _DEFAULT_NAME
-    if name is None:
-        raise GFBackendError("no GF backend registered")
-    return _lookup(name)
-
-
-def resolve_backend(backend: Union[str, GFBackend, None]) -> GFBackend:
-    """Normalise a ``backend=`` argument (instance, name, or None)."""
-    if backend is None:
-        return get_backend()
-    if isinstance(backend, GFBackend):
-        return backend
-    if isinstance(backend, str):
-        return get_backend(backend)
-    raise GFBackendError(f"backend must be a name, GFBackend, or None: {backend!r}")
+    return _BACKENDS.get(name)
 
 
 register_backend(PurePythonGFBackend())

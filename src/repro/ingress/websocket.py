@@ -44,6 +44,7 @@ OP_PING = 0x9
 OP_PONG = 0xA
 
 _CONTROL_OPS = (OP_CLOSE, OP_PING, OP_PONG)
+_KNOWN_OPS = (OP_CONT, OP_TEXT, OP_BINARY) + _CONTROL_OPS
 
 #: Upper bound on one (reassembled) message.
 MAX_MESSAGE_BYTES = 16 * 1024 * 1024
@@ -160,6 +161,9 @@ class FrameParser:
             raise WebSocketProtocolError("unexpected RSV bits")
         fin = bool(first & 0x80)
         opcode = first & 0x0F
+        if opcode not in _KNOWN_OPS:
+            # RFC 6455 §5.2: a reserved opcode fails the connection.
+            raise WebSocketProtocolError(f"reserved opcode 0x{opcode:x}")
         masked = bool(second & 0x80)
         if self.require_masked and not masked:
             raise WebSocketProtocolError("client frames must be masked")
@@ -177,6 +181,10 @@ class FrameParser:
             offset = 10
         if length > MAX_MESSAGE_BYTES:
             raise WebSocketProtocolError("frame exceeds size limit")
+        if opcode in _CONTROL_OPS and length > 125:
+            # RFC 6455 §5.5: control frames carry at most 125 bytes.
+            raise WebSocketProtocolError(
+                "control frame payload exceeds 125 bytes")
         key = b""
         if masked:
             if len(buf) < offset + 4:

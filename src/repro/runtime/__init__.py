@@ -7,9 +7,12 @@ registry pattern as the GF(256) backends (:mod:`repro.fec.backend`):
   and the default);
 * :class:`EventEngine` — one cooperative scheduler thread pumping filters
   on DIS readiness callbacks, for proxies with very many streams;
-* :class:`AsyncioEngine` — the same cooperative pump step adapted onto an
-  ``asyncio`` event loop, for proxies embedded in asyncio applications
-  (the :mod:`repro.ingress` HTTP/WebSocket front door runs on it).
+* :class:`AsyncioEngine` — the same scheduler woken by an ``asyncio``
+  event loop, for proxies embedded in asyncio applications (the
+  :mod:`repro.ingress` HTTP/WebSocket front door runs on it).
+
+Both cooperative engines are :class:`~repro.runtime.cooperative.
+CooperativeEngine` plus a wake-up driver.
 
 Select with ``ControlThread(..., engine=...)`` / ``Proxy(..., engine=...)``
 (name or instance), the ``REPRO_ENGINE`` environment variable, or

@@ -11,11 +11,11 @@ erasure code from its field algebra.  Three engines ship with the repo:
   scheduler that pumps filters only when their DIS reports readiness, for
   proxies hosting hundreds of concurrent streams;
 * :class:`~repro.runtime.asyncio_engine.AsyncioEngine` — the same
-  cooperative pump step hosted on an ``asyncio`` event loop, for proxies
-  embedded in asyncio applications.
+  scheduler (:mod:`repro.runtime.cooperative`) woken by an ``asyncio``
+  event loop, for proxies embedded in asyncio applications.
 
-Engines are held in a process-wide registry of factories.  Selection, in
-priority order:
+Engines are held in a process-wide :class:`~repro.registry.Registry` of
+factories.  Selection, in priority order:
 
 1. an explicit ``engine=`` argument (name or instance) on ``ControlThread``
    / ``Proxy`` / the composed proxies,
@@ -25,9 +25,10 @@ priority order:
 
 from __future__ import annotations
 
-import os
 from abc import ABC, abstractmethod
-from typing import Callable, Dict, List, Optional, Union
+from typing import Optional
+
+from ..registry import Registry
 
 #: Environment variable consulted by :func:`get_engine` when no explicit
 #: engine is requested.
@@ -71,74 +72,15 @@ class ExecutionEngine(ABC):
         return f"<{type(self).__name__} name={self.name!r}>"
 
 
-#: Verdicts of :func:`pump_verdict` — one visit's answer to "pump this
-#: element now, or where will its wake-up come from?".
-READY = "ready"    # a pump step would make progress
-HELD = "held"      # at a boundary hold; the release notification re-marks it
-GATED = "gated"    # waits on another element (high-water, splice reattach)
-IDLE = "idle"      # no input; its stream, socket or timer re-marks it
+_ENGINES: Registry[ExecutionEngine] = Registry(
+    "engine", ExecutionEngine, ENGINE_ENV_VAR, EngineError, factories=True)
 
-
-def pump_verdict(element) -> str:
-    """Classify a cooperative element for one scheduler visit.
-
-    Both cooperative engines schedule off this one predicate, so they
-    agree on when an element may run by construction.  It asks
-    ``wants_input_pump()`` at most once: for a socket-backed source that
-    question can cost a receive syscall.
-    """
-    if element.stop_requested:
-        return READY
-    if element.held:
-        return HELD
-    if element.pending_output:
-        # Parked output can only move once the DOS is reattached.
-        return READY if element.dos.connected else GATED
-    if element.wants_input_pump():
-        return GATED if _backpressured(element) else READY
-    return IDLE
-
-
-def _backpressured(element) -> bool:
-    """True while the element's downstream buffer is at/over capacity."""
-    dos = element.dos
-    if not dos.connected:
-        return False  # one transform will park in _pending; that's fine
-    sink = dos.sink
-    if sink is None:
-        return False
-    capacity = sink.buffer.capacity
-    return capacity is not None and sink.available() >= capacity
-
-
-_REGISTRY: Dict[str, Callable[[], "ExecutionEngine"]] = {}
-_DEFAULT_NAME: Optional[str] = None
-
-
-def register_engine(name: str, factory: Callable[[], ExecutionEngine],
-                    make_default: bool = False) -> None:
-    """Add an engine factory to the registry (replacing any same name)."""
-    if not name:
-        raise EngineError("engine must have a non-empty name")
-    _REGISTRY[name] = factory
-    global _DEFAULT_NAME
-    if make_default or _DEFAULT_NAME is None:
-        _DEFAULT_NAME = name
-
-
-def available_engines() -> List[str]:
-    """Names of every registered engine."""
-    return sorted(_REGISTRY)
-
-
-def set_default_engine(name: str) -> None:
-    """Make ``name`` the process-wide default engine."""
-    if name not in _REGISTRY:
-        raise EngineError(
-            f"unknown engine {name!r}; available: {', '.join(available_engines())}"
-        )
-    global _DEFAULT_NAME
-    _DEFAULT_NAME = name
+#: ``register_engine(name, factory, make_default=False)`` and friends: the
+#: registry's own methods are the public functions.
+register_engine = _ENGINES.register
+available_engines = _ENGINES.available
+set_default_engine = _ENGINES.set_default
+resolve_engine = _ENGINES.resolve
 
 
 def get_engine(name: Optional[str] = None) -> ExecutionEngine:
@@ -150,26 +92,4 @@ def get_engine(name: Optional[str] = None) -> ExecutionEngine:
     engine instance; share the instance explicitly (e.g. one per Proxy) to
     multiplex streams onto it.
     """
-    if name is None:
-        name = os.environ.get(ENGINE_ENV_VAR) or _DEFAULT_NAME
-    if name is None:
-        raise EngineError("no execution engine registered")
-    try:
-        factory = _REGISTRY[name]
-    except KeyError:
-        raise EngineError(
-            f"unknown engine {name!r}; available: {', '.join(available_engines())}"
-        ) from None
-    return factory()
-
-
-def resolve_engine(engine: Union[str, ExecutionEngine, None]) -> ExecutionEngine:
-    """Normalise an ``engine=`` argument (instance, name, or None)."""
-    if engine is None:
-        return get_engine()
-    if isinstance(engine, ExecutionEngine):
-        return engine
-    if isinstance(engine, str):
-        return get_engine(engine)
-    raise EngineError(
-        f"engine must be a name, ExecutionEngine, or None: {engine!r}")
+    return _ENGINES.get(name)

@@ -41,9 +41,10 @@ import os
 import threading
 from abc import ABC, abstractmethod
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Tuple, Union
+from typing import Callable, Deque, List, Optional, Tuple, Union
 
 from ..obs.metrics import register_channel as _obs_register_channel
+from ..registry import Registry
 
 #: Environment variable consulted by :func:`get_transport` when no explicit
 #: transport is requested.
@@ -446,47 +447,15 @@ class Transport(ABC):
         return f"<{type(self).__name__} name={self.name!r}>"
 
 
-_REGISTRY: Dict[str, Callable[[], "Transport"]] = {}
-_DEFAULT_NAME: Optional[str] = None
+_TRANSPORTS: Registry[Transport] = Registry(
+    "transport", Transport, TRANSPORT_ENV_VAR, TransportError, factories=True)
 
 
-def register_transport(name: str, factory: Callable[[], Transport],
-                       make_default: bool = False) -> None:
-    """Add a transport factory to the registry (replacing any same name)."""
-    if not name:
-        raise TransportError("transport must have a non-empty name")
-    _REGISTRY[name] = factory
-    global _DEFAULT_NAME
-    if make_default or _DEFAULT_NAME is None:
-        _DEFAULT_NAME = name
-
-
-def available_transports() -> List[str]:
-    """Names of every registered transport."""
-    return sorted(_REGISTRY)
-
-
-def set_default_transport(name: str) -> None:
-    """Make ``name`` the process-wide default transport."""
-    if name not in _REGISTRY:
-        raise TransportError(
-            f"unknown transport {name!r}; "
-            f"available: {', '.join(available_transports())}")
-    global _DEFAULT_NAME
-    _DEFAULT_NAME = name
-
-
-def _instantiate(name: Optional[str]) -> Transport:
-    """Registry lookup + construction, with no chaos decoration."""
-    if name is None:
-        raise TransportError("no transport registered")
-    try:
-        factory = _REGISTRY[name]
-    except KeyError:
-        raise TransportError(
-            f"unknown transport {name!r}; "
-            f"available: {', '.join(available_transports())}") from None
-    return factory()
+#: ``register_transport(name, factory, make_default=False)`` and friends:
+#: the registry's own methods are the public functions.
+register_transport = _TRANSPORTS.register
+available_transports = _TRANSPORTS.available
+set_default_transport = _TRANSPORTS.set_default
 
 
 def get_transport(name: Optional[str] = None) -> Transport:
@@ -504,16 +473,15 @@ def get_transport(name: Optional[str] = None) -> Transport:
     is set *every* resolution is wrapped — so an unchanged caller (or an
     entire unchanged test suite) runs under the configured fault plan.
     """
-    if name is None:
-        name = os.environ.get(TRANSPORT_ENV_VAR) or _DEFAULT_NAME
-    if name is not None and name.startswith("chaos:"):
+    name = _TRANSPORTS.choose(name)
+    if name.startswith("chaos:"):
         # Imported lazily: repro.chaos imports this module for the base
         # classes, so a top-level import would be circular.
         from ..chaos import ChaosTransport
 
-        inner = name[len("chaos:"):] or _DEFAULT_NAME
-        return ChaosTransport(_instantiate(inner))
-    transport = _instantiate(name)
+        inner = name[len("chaos:"):] or _TRANSPORTS.default
+        return ChaosTransport(_TRANSPORTS.get(inner))
+    transport = _TRANSPORTS.get(name)
     if os.environ.get("REPRO_CHAOS", "").strip():
         from ..chaos import ChaosTransport, FaultPlan
 
@@ -523,14 +491,7 @@ def get_transport(name: Optional[str] = None) -> Transport:
 
 def resolve_transport(transport: Union[str, Transport, None]) -> Transport:
     """Normalise a ``transport=`` argument (instance, name, or None)."""
-    if transport is None:
-        return get_transport()
-    if isinstance(transport, Transport):
-        return transport
-    if isinstance(transport, str):
-        return get_transport(transport)
-    raise TransportError(
-        f"transport must be a name, Transport, or None: {transport!r}")
+    return _TRANSPORTS.resolve(transport, get_transport)
 
 
 def _monotonic() -> float:
