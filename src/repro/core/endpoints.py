@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import socket
 import threading
-from itertools import islice
+from functools import partial
+from itertools import islice, takewhile
+from operator import is_not
 from time import monotonic as _monotonic
 from typing import Callable, Iterable, Iterator, List, Optional
 
@@ -133,11 +135,7 @@ class SourceEndPoint(EndPoint):
                     hold_armed = True  # forces the per-item path below
                 if hold_armed:
                     self._maybe_hold(item)
-                    self.dos.write(item)
-                    self._last_emitted = item
-                    self.items_produced += 1
-                    self.stats.record_output(len(item),
-                                             packets=1 if self.frame_output else 0)
+                    self._record_emit_batch((item,), self.dos.write(item))
                     self._notify_activity()
                     if self.pacing_s:
                         self._stop_event.wait(self.pacing_s)
@@ -179,9 +177,7 @@ class SourceEndPoint(EndPoint):
             self.error = exc
             self.stats.record_error()
         except Exception as exc:  # noqa: BLE001 - surfaced via self.error
-            self.error = exc
-            self.stats.record_error()
-            self._close_output()
+            self._fail(exc)
         finally:
             try:
                 self.on_stop()
@@ -274,29 +270,19 @@ class SourceEndPoint(EndPoint):
             return self._next_due
         return None
 
-    def _record_emit(self, data: bytes) -> None:
-        self._last_emitted = data
-        self.items_produced += 1
-        self.stats.record_output(len(data),
-                                 packets=1 if self.frame_output else 0)
-        if self.pacing_s:
-            # Absolute schedule (due += interval), not relative to the emit
-            # instant: deadlines don't drift with scheduler latency, and
-            # sources started together stay phase-aligned so one timer tick
-            # pumps the whole batch.
-            base = self._next_due if self._next_due > 0.0 else _monotonic()
-            self._next_due = base + self.pacing_s
-
     def _record_emit_batch(self, batch, nbytes: int) -> None:
-        if self.pacing_s:
-            # Per unit: each emit advances the pacing deadline.
-            for data in batch:
-                self._record_emit(data)
-            return
         self._last_emitted = batch[-1]
         self.items_produced += len(batch)
         self.stats.record_output_batch(
             nbytes, len(batch), packets=len(batch) if self.frame_output else 0)
+        if self.pacing_s:
+            # Each unit advances the pacing deadline, on an absolute
+            # schedule (due += interval), not relative to the emit instant:
+            # deadlines don't drift with scheduler latency, and sources
+            # started together stay phase-aligned so one timer tick pumps
+            # the whole batch.
+            base = self._next_due if self._next_due > 0.0 else _monotonic()
+            self._next_due = base + self.pacing_s * len(batch)
 
 
 class IterableSource(SourceEndPoint):
@@ -314,8 +300,8 @@ class IterableSource(SourceEndPoint):
                  frame_output: bool = False, pacing_s: float = 0.0) -> None:
         super().__init__(name=name, frame_output=frame_output, pacing_s=pacing_s)
         # Ends — for good — at a None item as at exhaustion: the two mean
-        # the same to produce()'s callers.
-        self._iterator: Iterator[bytes] = iter(iter(items).__next__, None)
+        # the same to produce()'s callers.  (A takewhile stays stopped.)
+        self._iterator: Iterator[bytes] = takewhile(_is_not_none, items)
 
     def produce(self) -> Optional[bytes]:
         return next(self._iterator, None)
@@ -325,15 +311,20 @@ class IterableSource(SourceEndPoint):
 
         The draw ends early at an empty item ("nothing right now"; the
         item is dropped, as per-item draws drop it) and where the stream
-        ends.  If the iterator raises, the items drawn before it are
-        returned and the error surfaces from the next draw instead.
+        ends, and never pulls an item past the one that ended it.  If the
+        iterator raises, the items drawn before it are returned and the
+        error surfaces from the next draw instead.
         """
         items: List[bytes] = []
         try:
-            items.extend(islice(iter(self._iterator.__next__, b""), max_items))
+            items.extend(islice(takewhile(bool, self._iterator), max_items))
         except Exception as exc:  # noqa: BLE001 - re-raised by the next draw
             self._iterator = _raising(exc)
         return items
+
+
+#: ``item is not None``, called from C by the source's ``takewhile``.
+_is_not_none = partial(is_not, None)
 
 
 def _raising(error: BaseException) -> Iterator[bytes]:

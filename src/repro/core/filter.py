@@ -259,11 +259,20 @@ class Filter:
         self._resume.set()  # never leave a held filter stuck
         self._notify_engine()
         if self._thread is not None:
-            # A worker parked in its blocking read looks at the stop flag
-            # now rather than at its next read_timeout tick (which remains
-            # as the net under a wake-up lost to the race with this call).
-            self.dis.interrupt_read()
-            self._thread.join(timeout=timeout)
+            # A worker parked in its blocking read, or in a write to a full
+            # downstream, looks at the stop flag now rather than at its next
+            # read_timeout tick or whenever the downstream drains.  An
+            # interrupt only ends a call parked when it lands, so it is
+            # repeated every read_timeout: a worker that parks just after
+            # one is caught by the next.
+            deadline = _monotonic() + timeout
+            while True:
+                self.dis.interrupt_read()
+                self.dos.interrupt_write()
+                remaining = deadline - _monotonic()
+                self._thread.join(min(self.read_timeout, max(remaining, 0)))
+                if remaining <= self.read_timeout or not self._thread.is_alive():
+                    break
         elif self._cooperative:
             self._finished.wait(timeout=timeout)
 
@@ -442,15 +451,23 @@ class Filter:
             self.error = exc
             self.stats.record_error()
         except Exception as exc:  # noqa: BLE001 - surfaced via self.error
-            self.error = exc
-            self.stats.record_error()
-            self._close_output_after_error()
+            self._fail(exc)
         finally:
             try:
                 self.on_stop()
             finally:
                 self._finished.set()
                 self._notify_activity()
+
+    def _fail(self, exc: Exception) -> None:
+        """End the threaded run loop on ``exc`` — unless it is :meth:`stop`
+        ending a write blocked on a full downstream, which is no error
+        (and stopping never closes a stream)."""
+        if isinstance(exc, StreamTimeoutError) and self._stop_event.is_set():
+            return
+        self.error = exc
+        self.stats.record_error()
+        self._close_output_after_error()
 
     def _read_loop(self) -> None:
         # The byte budget is chunk_size * pump_budget, but queued chunks are
@@ -484,8 +501,14 @@ class Filter:
                     except Exception:  # noqa: BLE001 - keep the original error
                         pass
                     raise
-                self._record_input(taken - self._input_done, len(chunks))
-                self._emit_units(outputs)
+                nbytes = taken - self._input_done
+                self._record_input(nbytes, len(chunks))
+                # A forwarded batch (the very chunks read, in order) is
+                # not measured again downstream: it hands over the total
+                # the DIS counted.  (``==`` compares the chunks by identity
+                # first; equal values would have equal lengths anyway.)
+                self._emit_units(outputs,
+                                 nbytes if outputs == chunks else None)
             finally:
                 self._input_done = taken
                 self._notify_activity()
@@ -642,26 +665,23 @@ class Filter:
                     and self._unit_matches(predicate, data)):
                 self._held.set()
                 return progress
+            before = self.dos.bytes_written
             if not self.dos.try_write(data):
                 return progress
             if self._held.is_set():
                 self._held.clear()
             self._pending.popleft()
-            self._record_emit(data)
+            self._record_emit_batch((data,), self.dos.bytes_written - before)
             progress = True
         return progress
 
-    def _record_emit(self, data: bytes) -> None:
-        """Account for one unit successfully delivered downstream."""
-        self._last_emitted = data
-        self.stats.record_output(len(data))
-
     def _record_emit_batch(self, batch: List[bytes], nbytes: int) -> None:
-        """Account for a whole delivered batch with per-batch stats.
+        """Account for a delivered batch (or one unit) with per-batch stats.
 
-        ``nbytes`` is what the DOS counted while delivering it; the batch
-        is not measured again.  Sources override this to keep their
-        per-unit bookkeeping (item counts, pacing deadlines) exact.
+        ``nbytes`` is what the DOS counted while delivering it — frames,
+        on a hop that frames; the batch is not measured again.  Sources
+        override this to keep their per-unit bookkeeping (item counts,
+        pacing deadlines) exact.
         """
         self._last_emitted = batch[-1]
         self.stats.record_output_batch(nbytes, len(batch))
@@ -740,7 +760,8 @@ class Filter:
     def _emit(self, result: TransformResult) -> None:
         self._emit_units(self._normalize_outputs(result))
 
-    def _emit_units(self, units: List[bytes]) -> None:
+    def _emit_units(self, units: List[bytes],
+                    nbytes: Optional[int] = None) -> None:
         """Deliver transformed units downstream, batching when possible.
 
         With no boundary hold armed, the whole batch goes out through one
@@ -748,19 +769,20 @@ class Filter:
         single batch of stats.  While a hold is armed, units are emitted
         one at a time so :meth:`_maybe_hold` can stop the stream exactly at
         the boundary unit.  A hold armed mid-batch takes effect from the
-        next batch, whose size is bounded by the pump budget.
+        next batch, whose size is bounded by the pump budget.  ``nbytes``
+        is the byte total of a forwarded batch (see ``DOS.write_many``).
         """
         if not units:
             return
         with self._hold_lock:
             hold_armed = self._boundary_predicate is not None
         if not hold_armed and len(units) > 1:
-            self._record_emit_batch(units, self.dos.write_many(units))
+            self._record_emit_batch(units, self.dos.write_many(units,
+                                                               nbytes=nbytes))
             return
         for data in units:
             self._maybe_hold(data)
-            self.dos.write(data)
-            self._record_emit(data)
+            self._record_emit_batch((data,), self.dos.write(data))
 
     def _maybe_hold(self, unit: bytes) -> None:
         """Honour a pending boundary hold before emitting ``unit``.

@@ -42,10 +42,17 @@ Data-path design (the hot path of every chain hop):
   byte budget, so a hop costs per hand-over, not per chunk.  A batch is
   opened chunk by chunk only for what is left of a budget, for ``read``,
   ``max_chunk`` and ``peek``.
-* **Waiter-gated notifies.**  Every condition keeps a count of actual
-  waiters and signals with ``notify()`` only when that count is non-zero,
-  so the uncontended fast path never touches a waiter queue — the same
-  idiom as ``ControlThread.wait_idle``.
+* **Waiters park on the buffer's own lock.**  A blocked reader, writer or
+  drainer queues a private lock on one of three waiter deques and sleeps
+  on it; a wake pops one and releases it.  That is what
+  ``threading.Condition`` does, without its Python-level ownership checks
+  and lock save/restore on every wait and notify.  Every wake is gated on
+  its deque being non-empty, so the uncontended fast path never touches
+  one.
+* **Interrupts.**  :meth:`interrupt_read` / :meth:`interrupt_write` end
+  the reads / writes parked *now* as if their timeouts had elapsed, so an
+  owner stopping a worker need not wait out a poll interval or a full
+  downstream.
 """
 
 from __future__ import annotations
@@ -66,6 +73,12 @@ DEFAULT_CAPACITY = 64 * 1024
 #: and as a set so a whole batch is screened by one C-speed pass.
 _BYTES_LIKE = (bytes, bytearray, memoryview)
 _BYTES_LIKE_TYPES = frozenset(_BYTES_LIKE)
+
+
+def _wake_all(waiters: Deque) -> None:
+    """Wake every caller parked on ``waiters``; caller holds the lock."""
+    while waiters:
+        waiters.popleft().release()
 
 
 def _as_view(chunk) -> memoryview:
@@ -107,15 +120,13 @@ class StreamBuffer:
         self._tail = self._chunks
         self._size = 0
         self._lock = threading.Lock()
-        self._not_empty = threading.Condition(self._lock)
-        self._not_full = threading.Condition(self._lock)
-        self._empty = threading.Condition(self._lock)
-        # Waiter counts gate every notify: with no waiter registered the
-        # fast path skips the condition entirely.
-        self._readers_waiting = 0
-        self._writers_waiting = 0
-        self._drain_waiting = 0
+        # Parked callers, one private lock each (see _park_locked): readers
+        # wait for data, writers for room, drainers for an empty buffer.
+        self._readers: Deque = deque()
+        self._writers: Deque = deque()
+        self._drainers: Deque = deque()
         self._read_interrupts = 0
+        self._write_interrupts = 0
         self._eof = False
         self._broken = False
         self._bytes_in = 0
@@ -191,7 +202,7 @@ class StreamBuffer:
             return self._write_locked(data, timeout, force)
 
     def write_chunks(self, chunks: Iterable[bytes], timeout: Optional[float] = None,
-                     force: bool = False) -> int:
+                     force: bool = False, nbytes: Optional[int] = None) -> int:
         """Append many chunks under a single lock acquisition.
 
         The batch is queued *as a batch*: the buffer keeps its own copy of
@@ -203,16 +214,24 @@ class StreamBuffer:
         chunk, each as :meth:`write` queues it.  Timeout,
         closed and broken semantics are those of :meth:`write`.  Returns
         the total bytes written.
+
+        ``nbytes`` is the batch's byte total when the caller already knows
+        it because the batch was read whole out of a buffer: such chunks
+        are non-empty and bytes-like by construction, so the batch is not
+        screened or measured again.
         """
         if not isinstance(chunks, (list, tuple)):
             chunks = list(chunks)
         with self._lock:
             # One type pass and one length pass serve the byte total, the
-            # capacity test and the accounting.  A batch that doesn't fit
-            # yet *waits for room and retries whole* rather than dribbling
-            # in chunk by chunk: the downstream reader drains
-            # in batches, so room arrives in batch-sized steps too.
-            if chunks and _BYTES_LIKE_TYPES.issuperset(map(type, chunks)):
+            # capacity test and the accounting — unless the caller counted.
+            # A batch that doesn't fit yet *waits for room and retries
+            # whole* rather than dribbling in chunk by chunk: the downstream
+            # reader drains in batches, so room arrives in batch-sized
+            # steps too.
+            if nbytes is not None:
+                batch_bytes = nbytes
+            elif chunks and _BYTES_LIKE_TYPES.issuperset(map(type, chunks)):
                 batch_bytes = sum(map(len, chunks))
             else:
                 batch_bytes = 0  # mixed batch: per-chunk slow path below
@@ -226,30 +245,23 @@ class StreamBuffer:
                         or self._size + batch_bytes <= self._capacity):
                     # Empty chunks must never be queued (an empty head
                     # reads back as a spurious EOF).
-                    batch = (list(chunks) if all(chunks)
+                    batch = (list(chunks) if nbytes is not None or all(chunks)
                              else [data for data in chunks if data])
                     self._marks.append(self._bytes_in)
                     self._batches.append(batch)
                     self._tail = batch
                     self._size += batch_bytes
                     self._bytes_in += batch_bytes
-                    if self._readers_waiting:
-                        self._not_empty.notify()
-                    if self._writers_waiting and (
+                    if self._readers:
+                        self._readers.popleft().release()
+                    if self._writers and (
                             self._capacity is None
                             or self._size < self._capacity):
-                        self._not_full.notify()
+                        self._writers.popleft().release()
                     return batch_bytes
                 if batch_bytes > self._capacity:
                     break  # can never fit whole; chunk by chunk below
-                self._writers_waiting += 1
-                try:
-                    woken = self._not_full.wait(timeout)
-                finally:
-                    self._writers_waiting -= 1
-                if not woken:
-                    raise StreamTimeoutError(
-                        f"{self._name}: timed out waiting for buffer space")
+                self._wait_for_room_locked(timeout)
             total = 0
             for data in chunks:
                 if not data:
@@ -272,35 +284,27 @@ class StreamBuffer:
             if (force or self._capacity is None or not self._size
                     or self._size + size <= self._capacity):
                 break
-            self._writers_waiting += 1
-            try:
-                woken = self._not_full.wait(timeout)
-            finally:
-                self._writers_waiting -= 1
-            if not woken:
-                raise StreamTimeoutError(
-                    f"{self._name}: timed out waiting for buffer space"
-                )
+            self._wait_for_room_locked(timeout)
         self._tail.append(data)  # the caller's object, no copy
         self._size += size
         self._bytes_in += size
-        if self._readers_waiting:
-            self._not_empty.notify()
-        if self._writers_waiting and (
+        if self._readers:
+            self._readers.popleft().release()
+        if self._writers and (
                 self._capacity is None or self._size < self._capacity):
             # Chained wake: room remains and another writer is parked (the
-            # read-side notify wakes only one writer at a time).
-            self._not_full.notify()
+            # read-side wake frees only one writer at a time).
+            self._writers.popleft().release()
         return size
 
     def close_for_writing(self) -> None:
-        """Mark end-of-stream.  Readers drain remaining data, then see EOF."""
+        """Mark end-of-stream.  Readers drain remaining data, then see EOF;
+        a parked writer raises :class:`StreamClosedError` now."""
         with self._lock:
             self._eof = True
-            if self._readers_waiting:
-                self._not_empty.notify_all()
-            if self._drain_waiting:
-                self._empty.notify_all()
+            _wake_all(self._readers)
+            _wake_all(self._writers)
+            _wake_all(self._drainers)
 
     def mark_broken(self) -> None:
         """Mark the buffer as broken: blocked writers and readers are woken
@@ -308,12 +312,9 @@ class StreamBuffer:
         with self._lock:
             self._broken = True
             self._eof = True
-            if self._readers_waiting:
-                self._not_empty.notify_all()
-            if self._writers_waiting:
-                self._not_full.notify_all()
-            if self._drain_waiting:
-                self._empty.notify_all()
+            _wake_all(self._readers)
+            _wake_all(self._writers)
+            _wake_all(self._drainers)
 
     # ------------------------------------------------------------------ read
 
@@ -467,6 +468,32 @@ class StreamBuffer:
             self._tail = self._chunks
         return batch
 
+    def _park_locked(self, waiters: Deque, timeout: Optional[float]) -> bool:
+        """Sleep on ``waiters`` until woken or ``timeout`` elapses.
+
+        The caller holds the buffer's lock; it is released while parked and
+        held again on return.  Returns True when woken — also by a wake
+        that lands between the timeout and the relock, which is therefore
+        never lost.
+        """
+        if timeout is not None and timeout <= 0:
+            return False
+        waiter = threading.Lock()
+        waiter.acquire()
+        waiters.append(waiter)
+        self._lock.release()
+        woken = False
+        try:
+            woken = waiter.acquire(True, -1 if timeout is None else timeout)
+        finally:
+            self._lock.acquire()
+            if not woken:
+                try:
+                    waiters.remove(waiter)
+                except ValueError:
+                    woken = True
+        return woken
+
     def _wait_for_data_locked(self, timeout: Optional[float]) -> None:
         """Park a reader of an empty buffer until it is worth another look.
 
@@ -474,13 +501,18 @@ class StreamBuffer:
         or :meth:`interrupt_read` says to behave as if it had.
         """
         interrupts = self._read_interrupts
-        self._readers_waiting += 1
-        try:
-            woken = self._not_empty.wait(timeout)
-        finally:
-            self._readers_waiting -= 1
-        if not woken or interrupts != self._read_interrupts:
+        if (not self._park_locked(self._readers, timeout)
+                or interrupts != self._read_interrupts):
             raise StreamTimeoutError(f"{self._name}: read timed out")
+
+    def _wait_for_room_locked(self, timeout: Optional[float]) -> None:
+        """Park a writer of a full buffer; the write-side twin of
+        :meth:`_wait_for_data_locked` (see :meth:`interrupt_write`)."""
+        interrupts = self._write_interrupts
+        if (not self._park_locked(self._writers, timeout)
+                or interrupts != self._write_interrupts):
+            raise StreamTimeoutError(
+                f"{self._name}: timed out waiting for buffer space")
 
     def interrupt_read(self) -> None:
         """End a *blocked* read as if its timeout had just elapsed.
@@ -491,20 +523,33 @@ class StreamBuffer:
         unaffected, now and on its next call; no data is lost either way.
         """
         with self._lock:
-            if self._readers_waiting:
+            if self._readers:
                 self._read_interrupts += 1
-                self._not_empty.notify_all()
+                _wake_all(self._readers)
+
+    def interrupt_write(self) -> None:
+        """End a *blocked* write as if its timeout had just elapsed.
+
+        The write twin of :meth:`interrupt_read`: a writer parked on a full
+        buffer raises :class:`StreamTimeoutError` with nothing of the batch
+        it waited with queued (chunks it had already queued stay queued
+        and counted).  A writer that is not blocked is unaffected.
+        """
+        with self._lock:
+            if self._writers:
+                self._write_interrupts += 1
+                _wake_all(self._writers)
 
     def _after_read_locked(self) -> None:
         """Post-consumption signalling; caller holds the lock."""
-        if self._writers_waiting:
-            self._not_full.notify()
+        if self._writers:
+            self._writers.popleft().release()
         if not self._size:
-            if self._drain_waiting:
-                self._empty.notify_all()
-        elif self._readers_waiting:
+            if self._drainers:
+                _wake_all(self._drainers)
+        elif self._readers:
             # Chained wake: data remains and another reader is parked.
-            self._not_empty.notify()
+            self._readers.popleft().release()
 
     def read_exactly(self, nbytes: int, timeout: Optional[float] = None) -> bytes:
         """Read exactly ``nbytes``; returns a short result only at EOF."""
@@ -541,10 +586,8 @@ class StreamBuffer:
             self._marks.clear()
             self._tail = self._chunks
             self._size = 0
-            if self._writers_waiting:
-                self._not_full.notify_all()
-            if self._drain_waiting:
-                self._empty.notify_all()
+            _wake_all(self._writers)
+            _wake_all(self._drainers)
             return dropped
 
     # ----------------------------------------------------------------- drain
@@ -564,12 +607,7 @@ class StreamBuffer:
                     remaining = deadline - _monotonic()
                     if remaining <= 0:
                         return False
-                self._drain_waiting += 1
-                try:
-                    woken = self._empty.wait(remaining)
-                finally:
-                    self._drain_waiting -= 1
-                if not woken:
+                if not self._park_locked(self._drainers, remaining):
                     return False
             return True
 

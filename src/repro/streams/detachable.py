@@ -287,7 +287,8 @@ class DetachableOutputStream(_ListenerMixin):
             self._bytes_written += written
         return written
 
-    def write_many(self, chunks: Iterable[bytes], timeout: Optional[float] = None) -> int:
+    def write_many(self, chunks: Iterable[bytes], timeout: Optional[float] = None,
+                   nbytes: Optional[int] = None) -> int:
         """Write a batch of chunks under one lock/connectivity round-trip.
 
         Each chunk is delivered to the sink exactly as a :meth:`write` of
@@ -299,6 +300,11 @@ class DetachableOutputStream(_ListenerMixin):
         own copy of it).  Returns the total number of bytes written, as
         counted by the sink — callers account from it rather than
         measuring the batch again.
+
+        ``nbytes`` is the batch's byte total when it is a batch read whole
+        out of an upstream buffer and forwarded unchanged: the sink's
+        buffer then takes it instead of measuring the batch again (see
+        :meth:`StreamBuffer.write_chunks`).  A hop that converts ignores it.
         """
         if chunks is None:
             raise ValueError("chunks must be an iterable of bytes, not None")
@@ -307,7 +313,7 @@ class DetachableOutputStream(_ListenerMixin):
         # Empties are skipped by the buffer itself; only an effectively
         # empty batch short-circuits here (before any reconnect wait).
         batch = chunks
-        if not batch or not _any_payload(batch):
+        if not nbytes and (not batch or not _any_payload(batch)):
             return 0
         wait = self._reconnect_wait if timeout is None else timeout
         # Delivery happens under this DOS's lock for the same reason as in
@@ -320,10 +326,22 @@ class DetachableOutputStream(_ListenerMixin):
             # counted, as they would be by per-chunk write() calls.
             before = sink.bytes_received
             try:
-                written = sink.receive_many(batch)
+                written = sink.receive_many(batch, nbytes=nbytes)
             finally:
                 self._bytes_written += sink.bytes_received - before
         return written
+
+    def interrupt_write(self) -> None:
+        """End a write blocked on the sink's full buffer as if its timeout
+        had just elapsed (see :meth:`StreamBuffer.interrupt_write`); a
+        writer that is not blocked is unaffected.
+
+        Takes no lock: a blocked write holds this DOS's lock, and while it
+        does the sink it is blocked on cannot change.
+        """
+        sink = self._sink
+        if sink is not None:
+            sink.buffer.interrupt_write()
 
     def try_write(self, data: bytes) -> bool:
         """Deliver ``data`` to the sink without ever blocking.
@@ -684,22 +702,25 @@ class DetachableInputStream(_ListenerMixin):
         return written
 
     def receive_many(self, chunks: Iterable[bytes], timeout: Optional[float] = None,
-                     force: bool = False) -> int:
+                     force: bool = False, nbytes: Optional[int] = None) -> int:
         """Accept a batch of chunks from the writing side into the buffer.
 
         The batch counterpart of :meth:`receive`: one buffer lock
         acquisition queues every chunk, and subscribers are notified once
-        per batch rather than once per chunk.
+        per batch rather than once per chunk.  ``nbytes`` is the byte
+        total of a forwarded batch (see :meth:`DetachableOutputStream.write_many`);
+        a hop that frames or de-frames re-measures what it produced.
         """
         if self._closed:
             raise StreamClosedError(f"{self.name}: receive on closed stream")
         convert = self._convert
         if convert is not None:
             chunks = convert(chunks)
+            nbytes = None
         before = self._buffer.bytes_written
         try:
             written = self._buffer.write_chunks(chunks, timeout=timeout,
-                                                force=force)
+                                                force=force, nbytes=nbytes)
         except BaseException:
             # Chunks queued before a mid-batch failure are readable, so
             # subscribers must still hear about them.

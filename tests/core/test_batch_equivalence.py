@@ -8,7 +8,10 @@ from any iterable in one C-speed pass.  None of that may show: at
 read as it does at budget 1, where each unit is drawn, transformed,
 written and counted on its own — on all three engines, from a list as from
 a generator, and when a transform or the source's iterator raises in the
-middle of a batch.
+middle of a batch.  A filter that forwards the batch it read hands the
+next buffer the total its DIS counted: every counter must then read as
+in the same chain with every batch measured, and a hop that frames, or a
+transform that changes sizes, must never be trusted with a total.
 """
 
 import threading
@@ -17,7 +20,9 @@ import pytest
 
 import repro.core.filter as filter_module
 from repro.core import CollectorSink, ControlThread, Filter, IterableSource
-from repro.filters import PassthroughFilter
+from repro.filters import (ByteCounterFilter, PacketTapFilter,
+                           PassthroughFilter, UppercaseFilter)
+from repro.streams import StreamBuffer, encode_frame
 
 ENGINES = ["threaded", "event", "asyncio"]
 BUDGETS = [1, 64]
@@ -304,3 +309,198 @@ def test_stop_in_the_middle_of_a_draw_delivers_what_was_drawn(
     finally:
         proceed.set()
         control.shutdown()
+
+
+# ------------------------------------------- a forwarded batch is measured once
+
+
+#: 200 chunks of 1 B to ~3 KiB: a 1 KiB read budget splits the larger ones,
+#: so forwarded batches carry split heads (views) as well as whole chunks.
+LARGE = [bytes([index % 251]) * (1 + index * 37 % 3000) for index in range(200)]
+
+KINDS = {"bytes": bytes, "bytearray": bytearray, "memoryview": memoryview}
+
+
+class Suffixed(Filter):
+    """As many chunks out as in, each one byte longer: same count, other
+    sizes — a batch whose total must be measured, not forwarded."""
+
+    def transform(self, chunk):
+        return bytes(chunk) + b"+"
+
+
+def _watch_totals(monkeypatch, trust):
+    """Wrap ``StreamBuffer.write_chunks``.  Every byte total handed to it
+    is checked against the chunks it came with; with ``trust`` unset the
+    total is dropped, so the buffer measures every batch (the reference).
+    Returns (totals handed over, totals that were wrong)."""
+    forwarded, wrong = [], []
+    write_chunks = StreamBuffer.write_chunks
+
+    def watched(self, chunks, timeout=None, force=False, nbytes=None):
+        if nbytes is not None:
+            chunks = list(chunks)
+            if (nbytes != sum(map(len, chunks))
+                    or not all(type(chunk) in KINDS.values() and len(chunk)
+                               for chunk in chunks)):
+                wrong.append((nbytes, [len(chunk) for chunk in chunks]))
+            forwarded.append(nbytes)
+            if not trust:
+                nbytes = None
+        return write_chunks(self, chunks, timeout, force, nbytes)
+
+    monkeypatch.setattr(StreamBuffer, "write_chunks", watched)
+    return forwarded, wrong
+
+
+def _counted_run(engine, budget, trust, monkeypatch, items, filters,
+                 read_bytes=None, frame_output=False):
+    """Run ``items`` through ``filters``: the delivered data, every
+    FilterStats field and every stream counter of every element, and the
+    totals that were forwarded.  ``read_bytes`` pins each filter's read
+    budget (chunk_size x pump_budget) so both budgets split alike."""
+    monkeypatch.setattr(filter_module, "DEFAULT_PUMP_BUDGET", budget)
+    forwarded, wrong = _watch_totals(monkeypatch, trust)
+    source = IterableSource(items, name="src", frame_output=frame_output)
+    sink = CollectorSink(name="sink")
+    control = ControlThread(source, sink, engine=engine, auto_start=False)
+    chain = filters()
+    for filter_obj in chain:
+        if read_bytes:
+            filter_obj.chunk_size = read_bytes // budget
+        control.add(filter_obj)
+    control.start()
+    try:
+        assert control.wait_for_completion(timeout=15.0)
+        snapshot = control.snapshot()
+        elements = [source, *chain, sink]
+        counters = [(element.dis.bytes_received, element.dis.bytes_delivered,
+                     element.dos.bytes_written) for element in elements]
+        stats = [_comparable(s) for s in (snapshot.source_stats,
+                                          *snapshot.filter_stats,
+                                          snapshot.sink_stats)]
+        assert not any(element.error for element in elements)
+        return (sink.data(), stats, counters), forwarded, wrong
+    finally:
+        control.shutdown()
+
+
+def _pieces(chunks, read_bytes):
+    """How many units ``chunks`` become behind a ``read_bytes`` budget."""
+    if not read_bytes:
+        return len(chunks)
+    return sum(-(-len(chunk) // read_bytes) for chunk in chunks)
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("kind", sorted(KINDS))
+@pytest.mark.parametrize("read_bytes", [None, 1024])
+def test_forwarding_and_transforming_hops_count_alike(engine, kind,
+                                                      read_bytes, monkeypatch):
+    """Forwarders (passthrough, a per-chunk tap) around a transformer: at
+    budget 64 with forwarded totals, every counter reads as at budget 1
+    with every batch measured — for bytes, bytearrays and views in, and
+    for split heads."""
+    def filters():
+        return [PassthroughFilter(name="a"), ByteCounterFilter(name="tap"),
+                UppercaseFilter(name="upper"), PassthroughFilter(name="b")]
+
+    def items():
+        return [KINDS[kind](chunk) for chunk in LARGE]
+
+    reference, _, wrong = _counted_run(engine, 1, False, monkeypatch,
+                                       items(), filters, read_bytes)
+    assert not wrong
+    measured_once, forwarded, wrong = _counted_run(
+        engine, 64, True, monkeypatch, items(), filters, read_bytes)
+    assert not wrong, wrong
+    assert measured_once == reference
+    if engine == "threaded":
+        assert forwarded, "no hop forwarded its total"
+
+    data, stats, counters = measured_once
+    total, units = sum(map(len, LARGE)), _pieces(LARGE, read_bytes)
+    assert data == b"".join(LARGE).upper()
+    assert [(s["chunks_in"], s["bytes_in"], s["chunks_out"], s["bytes_out"])
+            for s in stats[1:-1]] == [(units, total, units, total)] * 4
+    assert counters[1:] == [(total, total, total)] * 4 + [(total, total, 0)]
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_a_framing_hop_never_trusts_a_forwarded_total(engine, monkeypatch):
+    """A packet tap forwards its batch into a byte filter: the hop frames
+    it, so the byte filter counts frame bytes, not the packets' total."""
+    def filters():
+        return [PacketTapFilter(name="tap"), PassthroughFilter(name="bytes"),
+                ByteCounterFilter(name="count")]
+
+    runs = [_counted_run(engine, budget, budget == 64, monkeypatch,
+                         list(LARGE), filters, frame_output=True)
+            for budget in BUDGETS]
+    assert not runs[0][2] and not runs[1][2], runs[1][2]
+    assert runs[0][0] == runs[1][0]
+
+    data, stats, counters = runs[1][0]
+    payload = sum(map(len, LARGE))
+    framed = sum(len(encode_frame(packet)) for packet in LARGE)
+    assert data == b"".join(map(encode_frame, LARGE))
+    tap, byte_filter, _ = stats[1:-1]
+    # A hop counts once, after its conversion: the tap wrote frame bytes.
+    assert (tap["bytes_in"], tap["bytes_out"]) == (payload, framed)
+    assert byte_filter["bytes_in"] == framed
+    assert counters[1] == (payload, payload, framed)  # the tap's DIS, DOS
+    assert counters[2][0] == framed                   # the byte filter's DIS
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_same_count_other_sizes_is_measured(engine, monkeypatch):
+    """A transform that returns as many chunks as it read, of other sizes,
+    hands no total on: downstream counts what it really wrote."""
+    def filters():
+        return [PassthroughFilter(name="a"), Suffixed(name="suffixed"),
+                PassthroughFilter(name="b")]
+
+    runs = [_counted_run(engine, budget, budget == 64, monkeypatch,
+                         list(LARGE), filters) for budget in BUDGETS]
+    assert not runs[0][2] and not runs[1][2], runs[1][2]
+    assert runs[0][0] == runs[1][0]
+
+    data, stats, counters = runs[1][0]
+    total = sum(map(len, LARGE))
+    grown = total + len(LARGE)
+    assert data == b"".join(bytes(chunk) + b"+" for chunk in LARGE)
+    assert [(s["bytes_in"], s["bytes_out"]) for s in stats[1:-1]] == [
+        (total, total), (total, grown), (grown, grown)]
+    assert [c[2] for c in counters[1:4]] == [total, grown, grown]
+
+
+class _Counting:
+    """An iterator that counts how many items were pulled from it."""
+
+    def __init__(self, items):
+        self._items = list(items)
+        self.pulled = 0
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        if self.pulled == len(self._items):
+            raise StopIteration
+        self.pulled += 1
+        return self._items[self.pulled - 1]
+
+
+def test_a_draw_never_pulls_past_the_item_that_stopped_it():
+    items = _Counting([b"a", b"b", b"", b"c", None, b"d", b"e"])
+    source = IterableSource(items)
+    assert source.produce_many(64) == [b"a", b"b"] and items.pulled == 3
+    assert source.produce_many(64) == [b"c"] and items.pulled == 5
+    # None ended the stream for good: nothing behind it is ever pulled.
+    assert source.produce_many(64) == [] and items.pulled == 5
+    assert source.produce() is None and items.pulled == 5
+
+    items = _Counting([b"x"] * 10)
+    source = IterableSource(items)
+    assert source.produce_many(4) == [b"x"] * 4 and items.pulled == 4
+    assert source.produce() == b"x" and items.pulled == 5

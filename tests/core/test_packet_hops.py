@@ -364,7 +364,7 @@ def test_empty_packets_are_dropped_on_every_hop(engine):
 def _wait_parked(buffer, thread):
     """Until ``thread`` is parked on ``buffer`` waiting for room."""
     for _ in range(10_000):
-        if buffer._writers_waiting:
+        if buffer._writers:
             return
         thread.join(0.001)
     raise AssertionError("the writer never blocked")

@@ -205,7 +205,7 @@ class TestTransitionsUnderBatching:
                    for t in (b"a", b"b")]
         for t in threads:
             t.start()
-        while buf._writers_waiting < 2:  # both writers parked on the full buffer
+        while len(buf._writers) < 2:  # both writers parked on the full buffer
             time.sleep(0.001)
         assert buf.read(8) == b"x" * 8  # one drain frees room for both
         for t in threads:

@@ -4,7 +4,7 @@
 the stop flag at once; the splice that used to wait out the poll interval
 (``ControlThread.remove`` on the threaded engine: one ``read_timeout``,
 50 ms) is timed here too.  Nothing sleeps and hopes: a reader is known to
-be parked from the buffer's own waiter count, and a timing is the best (for
+be parked from the buffer's own waiter queue, and a timing is the best (for
 the splice: the median) of a few rounds, so one host stall cannot fail
 what is a claim about mechanism.
 """
@@ -35,7 +35,7 @@ def _parked_reader(read, buffer, waiters=1):
     thread = threading.Thread(target=reader, daemon=True)
     thread.start()
     deadline = time.monotonic() + 5.0
-    while buffer._readers_waiting < waiters:
+    while len(buffer._readers) < waiters:
         assert time.monotonic() < deadline, "the reader never parked"
         thread.join(0.001)
     return thread, outcome
