@@ -58,7 +58,11 @@ def test_e1_integrity_under_reconfiguration_schedule(benchmark):
     """Repeatedly insert/remove/reorder while data flows; nothing may be lost."""
 
     def run_schedule():
-        control, sink = build_live_stream(pacing_s=0.0003)
+        # A source paces on an absolute schedule, so this stream lasts
+        # CHUNK_COUNT * pacing_s = 1.5 s and the 1 s schedule below ends
+        # while data still flows: a splice after the source has closed
+        # its stream would raise instead of testing integrity.
+        control, sink = build_live_stream(pacing_s=0.0005)
         operations = 0
         deadline = time.monotonic() + 1.0
         while time.monotonic() < deadline and control.source.running:

@@ -40,7 +40,10 @@ def run_insertion(use_boundary: bool, seed: int = 0):
     """Insert FEC into a flowing video stream; return (frame type, latency)."""
     video = VideoSource(duration=4.0, seed=seed)  # 120 frames, ~13 GOPs
     delivered = []
-    proxy = VideoProxy(video, delivered.append, pacing_s=0.002,
+    # The source keeps an absolute schedule, so a stall of this process
+    # does not stretch the stream: 120 packets x 4 ms = 0.48 s keeps the
+    # insertion 50 ms after start inside a flowing stream.
+    proxy = VideoProxy(video, delivered.append, pacing_s=0.004,
                        name=f"video-proxy-{seed}-{use_boundary}")
     proxy.start()
     time.sleep(0.05)

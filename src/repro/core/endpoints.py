@@ -23,9 +23,6 @@ from time import monotonic as _monotonic
 from typing import Callable, Iterable, Iterator, List, Optional
 
 from ..streams import (
-    BrokenStreamError,
-    NotConnectedError,
-    StreamClosedError,
     encode_frame,  # noqa: F401 - unused; proxybench's tracer wraps it here
 )
 from .filter import Filter
@@ -61,12 +58,13 @@ class SourceEndPoint(EndPoint):
     #: than a sleeping thread.
     cooperative_capable = False
 
-    #: Whether ``produce`` returns without ever blocking *in the threaded
-    #: run loop as well*.  Only such sources may accumulate a multi-item
-    #: batch before writing: a blocking source would stall in ``produce``
-    #: while already-produced items sit undelivered in the batch.  (This is
-    #: stricter than ``cooperative_capable`` — a transport source polls
-    #: non-blockingly when cooperative but blocks in its dedicated thread.)
+    #: Whether ``produce`` returns without ever blocking *on the source's
+    #: own thread as well*.  Only such sources draw a multi-item batch per
+    #: threaded step: a blocking source would stall in ``produce`` while
+    #: already-produced items sit undelivered in the batch, so it draws one
+    #: item per step.  (This is stricter than ``cooperative_capable`` — a
+    #: transport source polls non-blockingly when cooperative but blocks on
+    #: its dedicated thread.)
     produce_nonblocking = False
 
     def __init__(self, name: Optional[str] = None, frame_output: bool = False,
@@ -90,8 +88,8 @@ class SourceEndPoint(EndPoint):
     def produce_many(self, max_items: int) -> Optional[List[bytes]]:
         """Produce up to ``max_items`` items in one call, or None.
 
-        Returning None (the default) makes the run loop accumulate its
-        batch through per-item :meth:`produce` calls.  Sources that can
+        Returning None (the default) makes the step accumulate its batch
+        through per-item :meth:`produce` calls.  Sources that can
         draw a whole batch in one go (:class:`IterableSource`, a
         cooperative ``TransportSource``) override this.  A short or empty
         return does *not* signal exhaustion — the next :meth:`produce`
@@ -108,105 +106,35 @@ class SourceEndPoint(EndPoint):
         """
         return items if all(items) else [item for item in items if len(item)]
 
-    def _deliver_batch(self, batch: List[bytes]) -> None:
-        """Write an accumulated batch downstream with per-batch accounting."""
-        self._record_emit_batch(batch, self.dos.write_many(batch))
-        self._notify_activity()
-
-    def _run(self) -> None:  # replaces the read loop: sources have no input
-        try:
-            self.on_start()
-            # Only a never-blocking, unpaced source may accumulate a batch
-            # before writing; this part of the decision is static, so the
-            # hold check below is only paid when batching is possible.
-            batch_capable = (not self.pacing_s and self.pump_budget > 1
-                             and self.produce_nonblocking)
-            exhausted = False
-            while not self._stop_event.is_set() and not exhausted:
-                item = self.produce()
-                if item is None:
-                    break
-                if not item:
-                    continue
-                if batch_capable:
-                    with self._hold_lock:
-                        hold_armed = self._boundary_predicate is not None
-                else:
-                    hold_armed = True  # forces the per-item path below
-                if hold_armed:
-                    self._maybe_hold(item)
-                    self._record_emit_batch((item,), self.dos.write(item))
-                    self._notify_activity()
-                    if self.pacing_s:
-                        self._stop_event.wait(self.pacing_s)
-                    continue
-                # Unpaced, unheld bulk path: accumulate up to a budget of
-                # items and deliver them in one batched write, so the DOS
-                # lock and the downstream wakeup are paid once per batch.
-                batch = [item]
-                try:
-                    more = (self.produce_many(self.pump_budget - 1)
-                            if self.pump_budget > 1 else None)
-                    if more is not None:
-                        # Bulk draw: the slice is encoded in one pass.
-                        if more:
-                            batch.extend(self._non_empty(more))
-                    else:
-                        while (len(batch) < self.pump_budget
-                               and not self._stop_event.is_set()):
-                            item = self.produce()
-                            if item is None:
-                                exhausted = True
-                                break
-                            if not item:
-                                break
-                            batch.append(item)
-                except Exception:
-                    # produce() failing mid-batch must not discard the items
-                    # before it — the per-item path delivered each of those
-                    # before erroring, and so do we.
-                    try:
-                        self._deliver_batch(batch)
-                    except Exception:  # noqa: BLE001 - keep the original error
-                        pass
-                    raise
-                self._deliver_batch(batch)
-            if not self._stop_event.is_set() and self.propagate_eof:
-                self._close_output()
-        except (StreamClosedError, BrokenStreamError, NotConnectedError) as exc:
-            self.error = exc
-            self.stats.record_error()
-        except Exception as exc:  # noqa: BLE001 - surfaced via self.error
-            self._fail(exc)
-        finally:
-            try:
-                self.on_stop()
-            finally:
-                self._finished.set()
-                self._notify_activity()
-
-    # ------------------------------------------------------ cooperative pump
+    # ------------------------------------------------------------- the step
 
     def _pump_input(self, progress: bool) -> bool:
-        """The source variant of a pump step: produce and emit items.
+        """The source variant of a step: produce items and emit them.
 
-        Only used when a subclass declares ``cooperative_capable = True``
-        (its ``produce`` must never block).  Pacing is honoured through
-        :meth:`next_due_s` — the engine simply does not pump the source
-        again until the deadline — so a paced source costs a timer entry
-        instead of a sleeping thread.
-
-        An unpaced source produces up to a budget of items per step and
-        flushes them as one batch, so scheduler round-trips amortize; a
-        paced source still moves one item per deadline.
+        An unpaced source draws up to a budget of items per step and emits
+        them as one batch, so the DOS lock and the downstream wakeup are
+        paid once per batch; a paced source moves one item per deadline,
+        and a source that may block in ``produce`` on its own thread (see
+        ``produce_nonblocking``) one item per step.  Pacing keeps the
+        absolute schedule :meth:`next_due_s` reports on every engine: a
+        cooperative engine does not pump the source again until the
+        deadline (a timer entry instead of a sleeping thread), and the
+        threaded step sleeps until it.
         """
-        if self.pacing_s and _monotonic() < self._next_due:
-            if progress:
-                # The flush above advanced the pacing deadline; re-mark
-                # ourselves so the next round parks us on the timer.
-                self._notify_engine()
-            return progress
-        budget = 1 if self.pacing_s else self.pump_budget
+        if self.pacing_s:
+            wait = self._next_due - _monotonic()
+            if wait > 0:
+                if self._cooperative:
+                    if progress:
+                        # The flush above advanced the pacing deadline;
+                        # re-mark ourselves so the next round parks us on
+                        # the timer.
+                        self._notify_engine()
+                    return progress
+                if self._stop_event.wait(wait):
+                    return progress
+        budget = (self.pump_budget if not self.pacing_s and (
+            self._cooperative or self.produce_nonblocking) else 1)
         starved = False
         items: List[bytes] = []
         try:
@@ -230,14 +158,16 @@ class SourceEndPoint(EndPoint):
                     items.append(item)
         finally:
             # Parked even when a produce() raised mid-draw: pump()'s error
-            # handler flushes the items before it, as per-item emits did.
+            # handler delivers the items before it, as per-item emits did.
             if items:
-                self._pending.extend(self._non_empty(items))
+                self._pending = self._non_empty(items)
         queued = bool(items)
         if queued:
             self._flush_pending()
         if self._exhausted and not self._pending:
-            if self.propagate_eof:
+            # A blocking produce() that stop() ended returns None too, and
+            # stopping never closes a stream.
+            if self.propagate_eof and not self._stop_event.is_set():
                 self._close_output()
             self._complete()
             return True
@@ -292,7 +222,7 @@ class IterableSource(SourceEndPoint):
 
     #: Iterating is assumed non-blocking, so the event engine can pump this
     #: source cooperatively — N paced streams need no N sleeping threads —
-    #: and the threaded run loop can batch items before writing.
+    #: and its threaded step can draw a batch of items before writing.
     cooperative_capable = True
     produce_nonblocking = True
 

@@ -6,7 +6,7 @@ instance of DIS and DOS that are always present.  The ControlThread uses the
 DIS and DOS to manipulate the stream connections."  This module provides the
 Python equivalents:
 
-* :class:`Filter` — a byte-oriented filter running in its own thread.  Data
+* :class:`Filter` — a byte-oriented filter, run by an execution engine.  Data
   read from the filter's DIS is passed to :meth:`Filter.transform`; whatever
   the transform returns is written to the filter's DOS.
 * :class:`PacketFilter` — a filter operating on whole packets, one per
@@ -19,21 +19,22 @@ asked to *hold* at the next stream boundary (:meth:`Filter.hold_at_boundary`)
 and to *quiesce* (finish processing everything already delivered to it)
 before it is removed from a chain.
 
-Execution is pluggable (see :mod:`repro.runtime`): the pure pump step —
-read available input, transform it, emit the results, honouring boundary
-holds — is factored into :meth:`Filter.pump`, which an event-driven engine
-invokes from a single scheduler thread whenever the filter's DIS reports
-readiness; the classic thread-per-filter worker loop (:meth:`Filter._run`)
-remains as the reference execution mode used by ``filter.start()``.
+Execution is pluggable (see :mod:`repro.runtime`), and a filter is
+independent of how it is executed: :meth:`Filter.pump` — read input,
+transform it, emit the results, honouring boundary holds — is the only step,
+on every engine.  A cooperative engine calls it from a scheduler thread
+whenever the filter may be ready, and the step never blocks; the threaded
+engine's worker (:meth:`Filter._run`, started by ``filter.start()``) calls it
+in a loop, and the same step blocks where a cooperative one parks: in the
+read, in the delivery and at a boundary hold.
 """
 
 from __future__ import annotations
 
 import threading
-from collections import deque
 from time import monotonic as _monotonic
 from time import sleep as _sleep
-from typing import Callable, Deque, Iterable, List, Optional, Union
+from typing import Callable, Iterable, List, Optional, Union
 
 from ..streams import (
     DEFAULT_CAPACITY,
@@ -76,8 +77,9 @@ class Filter:
     """A byte-stream filter with its own DIS, DOS, and worker thread.
 
     Lifecycle: construct → (ControlThread connects the DIS/DOS) →
-    :meth:`start` → worker thread loops reading, transforming, writing →
-    end-of-stream or :meth:`stop`.
+    :meth:`start` (or an engine's :meth:`bind_engine`) → :meth:`pump`
+    steps, each reading, transforming, writing → end-of-stream or
+    :meth:`stop`.
 
     Subclasses usually override only :meth:`transform` (per input chunk) and
     optionally :meth:`finalize` (to emit trailing output at end-of-stream)
@@ -89,7 +91,7 @@ class Filter:
 
     #: Whether this element can be pumped cooperatively from a shared
     #: scheduler thread.  Elements that perform blocking external I/O in
-    #: their run loop (source endpoints, socket sinks) set this to False and
+    #: their step (source endpoints, socket sinks) set this to False and
     #: always get a dedicated thread, whatever the execution engine.
     cooperative_capable = True
 
@@ -137,15 +139,17 @@ class Filter:
         # DIS bytes whose transform *and* emit have completed; see _busy.
         self._input_done = 0
 
-        # Cooperative (event-engine) execution state.
+        # Execution state.  Output waits on _pending until it is delivered:
+        # parked across a splice or at a boundary hold (cooperative), or
+        # for as long as the blocking delivery takes (threaded).
         self._engine = None
         self._cooperative = False
-        self._pending: Deque[bytes] = deque()
+        self._pending: List[bytes] = []
         self._on_start_done = False
         self._finalized = False
 
         # Scratch counters written by transform_chunks as it consumes input,
-        # read by the run loop / pump only when the transform raises, so a
+        # read by the step only when the transform raises, so a
         # mid-batch error accounts just the chunks the transform saw.
         self._batch_in_bytes = 0
         self._batch_in_chunks = 0
@@ -197,7 +201,7 @@ class Filter:
 
     @property
     def finished(self) -> bool:
-        """True once the run loop has exited (EOF, stop, or error)."""
+        """True once the filter has completed (EOF, stop, or error)."""
         return self._finished.is_set()
 
     @property
@@ -220,9 +224,10 @@ class Filter:
     def start(self) -> "Filter":
         """Start the worker thread.  A filter can be started only once.
 
-        This is the thread-per-filter reference mode; an execution engine
-        (see :mod:`repro.runtime`) may instead take ownership of the filter
-        with :meth:`bind_engine` and drive it via :meth:`pump`.
+        The thread drives :meth:`pump`, blocking inside each step; a
+        cooperative engine (see :mod:`repro.runtime`) may instead take
+        ownership of the filter with :meth:`bind_engine` and pump it from
+        its scheduler thread.
         """
         if self._started:
             raise FilterStateError(f"{self.name}: already started")
@@ -250,7 +255,7 @@ class Filter:
         return self
 
     def stop(self, timeout: float = 5.0) -> None:
-        """Ask the run loop to exit and wait for it.
+        """Ask the filter to finish and wait for it.
 
         Stopping does *not* close the filter's streams (the ControlThread
         re-splices them); stopping a never-started filter is a no-op.
@@ -277,7 +282,7 @@ class Filter:
             self._finished.wait(timeout=timeout)
 
     def join(self, timeout: Optional[float] = None) -> bool:
-        """Wait for the filter's run loop to finish; True if it did."""
+        """Wait for the filter to finish; True if it did."""
         if self._thread is not None:
             self._thread.join(timeout=timeout)
             return not self._thread.is_alive()
@@ -286,7 +291,7 @@ class Filter:
         return True
 
     def wait_finished(self, timeout: Optional[float] = None) -> bool:
-        """Wait until the filter's run loop has completed."""
+        """Wait until the filter has completed."""
         return self._finished.wait(timeout=timeout)
 
     def abandon(self, error: BaseException) -> None:
@@ -315,24 +320,27 @@ class Filter:
                          timeout: Optional[float] = None) -> bool:
         """Pause this filter's *output* at the next stream boundary.
 
-        The worker thread keeps processing until it is about to emit a unit
-        for which ``predicate`` returns True (with no predicate, the very
-        next unit), then blocks *before* emitting it until
-        :meth:`release_hold` is called.  The downstream side therefore ends
-        exactly at the boundary, and the unit that satisfied the predicate is
-        the first thing delivered to whatever the stream is reconnected to.
-        Returns True once the hold is in place, False on timeout.
+        The filter keeps processing until it is about to emit a unit for
+        which ``predicate`` returns True (with no predicate, the very next
+        unit): the batch being emitted is cut there, the units before it go
+        out as one batch, and the filter holds *before* the boundary unit —
+        parked on a cooperative engine, waiting in its step on the threaded
+        one — until :meth:`release_hold` is called.  The downstream side
+        therefore ends exactly at the boundary, and the unit that satisfied
+        the predicate is the first thing delivered to whatever the stream is
+        reconnected to.  Returns True once the hold is in place, False on
+        timeout.
 
         The ControlThread uses this for boundary-aware insertion (e.g. "only
         insert the video FEC filter so that it starts at an I frame").
 
-        Units already handed to a batched delivery when the hold is armed
-        still cross (up to one ``pump_budget`` of them; previously the
-        in-flight window was a single unit), so predicates should match
-        *recurring* boundaries — the next I frame, the next packet start —
-        rather than one specific unit.  The composition protocol already
-        tolerates this: a hold that never engages times out here and the
-        caller proceeds with an unaligned splice.
+        On every engine, units in a delivery already in progress when the
+        hold is armed still cross (up to one ``pump_budget`` of them), so
+        predicates should match *recurring* boundaries — the next I frame,
+        the next packet start — rather than one specific unit.  The
+        composition protocol already tolerates this: a hold that never
+        engages times out here and the caller proceeds with an unaligned
+        splice.
         """
         with self._hold_lock:
             self._held.clear()
@@ -345,6 +353,7 @@ class Filter:
         """Allow a held filter to continue emitting."""
         with self._hold_lock:
             self._boundary_predicate = None
+            self._held.clear()
         self._resume.set()
         self._notify_engine()
 
@@ -379,8 +388,12 @@ class Filter:
         chain so that buffered state — for example the partial FEC group an
         encoder is still filling — is pushed downstream rather than lost.
         The upstream side must already be paused and the filter quiescent.
+        The write blocks, whatever the engine: the caller is the
+        ControlThread, never a scheduler thread.
         """
-        self._emit(self.finalize())
+        units = self._normalize_outputs(self.finalize())
+        if units:
+            self._record_emit_batch(units, self.dos.write_many(units))
 
     def quiesce(self, timeout: float = 5.0, poll_interval: float = 0.005) -> bool:
         """Wait until every byte already delivered to the filter has been
@@ -431,87 +444,24 @@ class Filter:
         return None
 
     def on_start(self) -> None:
-        """Hook invoked in the worker thread before the read loop."""
+        """Hook invoked before the first step."""
 
     def on_stop(self) -> None:
-        """Hook invoked in the worker thread after the read loop."""
+        """Hook invoked after the last step."""
 
-    # -------------------------------------------------------------- main loop
+    # -------------------------------------------------------------- the step
 
     def _run(self) -> None:
-        try:
-            self.on_start()
-            self._read_loop()
-            if not self._stop_event.is_set():
-                self._emit(self.finalize())
-                if self.propagate_eof:
-                    self._close_output()
-        except (StreamClosedError, BrokenStreamError, NotConnectedError) as exc:
-            # The chain was torn down around us; record and exit quietly.
-            self.error = exc
-            self.stats.record_error()
-        except Exception as exc:  # noqa: BLE001 - surfaced via self.error
-            self._fail(exc)
-        finally:
-            try:
-                self.on_stop()
-            finally:
-                self._finished.set()
-                self._notify_activity()
+        """The threaded engine's driver: the step, until the filter is
+        finished.  Each step blocks where a cooperative one would park.
 
-    def _fail(self, exc: Exception) -> None:
-        """End the threaded run loop on ``exc`` — unless it is :meth:`stop`
-        ending a write blocked on a full downstream, which is no error
-        (and stopping never closes a stream)."""
-        if isinstance(exc, StreamTimeoutError) and self._stop_event.is_set():
-            return
-        self.error = exc
-        self.stats.record_error()
-        self._close_output_after_error()
-
-    def _read_loop(self) -> None:
-        # The byte budget is chunk_size * pump_budget, but queued chunks are
-        # taken *whole* (no max_chunk): transforms are size-agnostic, and
-        # re-fragmenting a large upstream chunk to the local chunk_size cost
-        # a per-piece loop at every hop for nothing — it was the E6 64 KiB
-        # regression.  chunk_size sizes the budget; the writer's own chunk
-        # boundaries are the transform units.
-        budget_bytes = self.chunk_size * self.pump_budget
-        while not self._stop_event.is_set():
-            try:
-                chunks = self.dis.read_chunks(budget_bytes,
-                                              timeout=self.read_timeout)
-            except StreamTimeoutError:
-                continue
-            if not chunks:
-                return  # end of stream
-            taken = self.dis.bytes_delivered  # sole reader: through this batch
-            try:
-                outputs: List[bytes] = []
-                self._batch_in_bytes = self._batch_in_chunks = 0
-                try:
-                    self.transform_chunks(chunks, outputs)
-                except Exception:
-                    self._record_failed_input(taken, len(chunks))
-                    # A transform failing mid-batch must not discard the
-                    # outputs of the chunks before it — the per-chunk loop
-                    # delivered those before erroring, and so do we.
-                    try:
-                        self._emit_units(outputs)
-                    except Exception:  # noqa: BLE001 - keep the original error
-                        pass
-                    raise
-                nbytes = taken - self._input_done
-                self._record_input(nbytes, len(chunks))
-                # A forwarded batch (the very chunks read, in order) is
-                # not measured again downstream: it hands over the total
-                # the DIS counted.  (``==`` compares the chunks by identity
-                # first; equal values would have equal lengths anyway.)
-                self._emit_units(outputs,
-                                 nbytes if outputs == chunks else None)
-            finally:
-                self._input_done = taken
-                self._notify_activity()
+        A step of a finished filter returns False, so only a step without
+        progress needs another look at the flag.
+        """
+        pump = self.pump
+        finished = self._finished.is_set
+        while pump() or not finished():
+            pass
 
     def _record_input(self, nbytes: int, chunks: int) -> None:
         """Account one input batch (or the part of it a transform saw)."""
@@ -527,22 +477,28 @@ class Filter:
         else:
             self._record_input(taken - self._input_done, chunks)
 
-    # ------------------------------------------------------- cooperative pump
-
     def pump(self) -> bool:
-        """Run one bounded execution step (the event-engine entry point).
+        """Run one bounded execution step — the only one, on every engine.
 
-        One step: flush any output parked by a boundary hold or a mid-splice
-        detach, then drain up to a ``pump_budget`` of available input
-        chunks, transform each and emit the combined results; at
-        end-of-stream, finalize and complete.  The
-        step never blocks — output is delivered with the non-blocking
-        ``DOS.try_write`` and input is read only when the DIS reports bytes
-        available — so any number of filters can be pumped from a single
-        scheduler thread.  Returns True when the step made progress.
+        One step: flush any output still parked (at a boundary hold, or by
+        a mid-splice detach), then read up to a ``pump_budget`` of input
+        chunks, transform them and emit the combined results; at
+        end-of-stream, finalize and complete.  Returns True when the step
+        made progress.
 
-        Errors are handled exactly as in the threaded run loop: recorded on
-        :attr:`error`, counted in stats, and the filter completes.
+        ``self._cooperative`` decides how the step waits, and nothing else.
+        Pumped by a cooperative engine, the step never blocks — the read
+        takes only what is buffered, the delivery is the non-blocking
+        ``DOS.try_write_many``, and output parks on a detached DOS or at a
+        hold — so any number of filters share one scheduler thread.  Driven
+        by its own thread (:meth:`_run`), the read waits up to
+        ``read_timeout``, the delivery blocks through back-pressure and
+        splices, and a hold waits for its release.
+
+        Errors end the filter on every engine: recorded on :attr:`error`,
+        counted in stats, and the filter completes.  :meth:`stop` ending a
+        write blocked on a full downstream is no error, and stopping never
+        closes a stream.
         """
         if self._finished.is_set():
             return False
@@ -550,133 +506,157 @@ class Filter:
             if not self._on_start_done:
                 self._on_start_done = True
                 self.on_start()
-            progress = self._flush_pending()
+            progress = self._flush_pending() if self._pending else False
             if self._stop_event.is_set():
-                # Stop wins over parked output, as in the threaded teardown
-                # path: the chain around us is being dismantled.
+                # Stop wins over parked output: the chain around us is
+                # being dismantled.
                 self._complete()
                 return True
             if self._pending:
                 return progress  # parked at a boundary or across a splice
             return self._pump_input(progress)
         except (StreamClosedError, BrokenStreamError, NotConnectedError) as exc:
+            # The chain was torn down around us; record and exit quietly.
             self.error = exc
             self.stats.record_error()
             self._complete()
             return True
         except Exception as exc:  # noqa: BLE001 - surfaced via self.error
-            self.error = exc
-            self.stats.record_error()
-            try:
-                # Outputs queued by the chunks before the failing one must
-                # still go downstream before the error closes the stream.
-                self._flush_pending()
-            except Exception:  # noqa: BLE001 - keep the original error
-                pass
-            self._close_output_after_error()
+            # A write that stop() interrupted ends the filter, but is no
+            # error and closes nothing.
+            if not (isinstance(exc, StreamTimeoutError)
+                    and self._stop_event.is_set()):
+                self.error = exc
+                self.stats.record_error()
+                try:
+                    # Outputs queued by the chunks before the failing one
+                    # must still go downstream before the error closes the
+                    # stream.
+                    self._flush_pending()
+                except Exception:  # noqa: BLE001 - keep the original error
+                    pass
+                self._close_output_after_error()
             self._complete()
             return True
         finally:
             self._notify_activity()
 
     def _pump_input(self, progress: bool) -> bool:
-        """Consume one budget of input — the part of a pump step that differs
+        """Consume one budget of input — the part of a step that differs
         between filters (read from the DIS) and sources (produce items).
 
-        One step drains up to ``pump_budget`` queued chunks in a single
-        buffer lock round-trip, transforms each, and flushes the combined
-        output — so the scheduler's dirty-set and wakeup overhead
-        amortizes across the batch instead of recurring per chunk.
+        One read drains up to ``pump_budget`` queued chunks in a single
+        buffer lock round-trip, and their outputs go out as one batch, so
+        the per-hop locking and wakeup costs amortize across the batch.
+        The byte budget is chunk_size * pump_budget, but queued chunks are
+        taken *whole* (no max_chunk): transforms are size-agnostic, and
+        re-fragmenting a large upstream chunk to the local chunk_size cost
+        a per-piece loop at every hop for nothing — it was the E6 64 KiB
+        regression.
         """
-        if self.dis.available() > 0:
-            # Whole queued chunks, no re-fragmentation — see _read_loop.
-            chunks = self.dis.read_chunks(self.chunk_size * self.pump_budget,
-                                          timeout=0)
-            if chunks:
-                taken = self.dis.bytes_delivered
-                self._batch_in_bytes = self._batch_in_chunks = 0
-                try:
-                    # Appending straight onto the pending deque means a
-                    # transform failing mid-batch leaves the earlier chunks'
-                    # outputs parked there, and pump()'s error handler
-                    # flushes them downstream before closing — the same
-                    # partial-delivery contract as the threaded loop.
-                    self.transform_chunks(chunks, self._pending)
-                except Exception:
-                    self._record_failed_input(taken, len(chunks))
-                    raise
-                else:
-                    self._record_input(taken - self._input_done, len(chunks))
-                finally:
-                    # Outputs are parked on _pending by now, which keeps
-                    # is_idle() False until they are flushed.
-                    self._input_done = taken
-                self._flush_pending()
-                return True
-        if self.dis.at_eof():
-            if self.dis.fault is not None:
-                raise self.dis.fault  # a byte writer's bad frame ends us here
-            if not self._finalized:
-                self._finalized = True
-                self._queue_outputs(self.finalize())
-            self._flush_pending()
-            if not self._pending:
-                if self.propagate_eof:
-                    self._close_output()
-                self._complete()
+        try:
+            chunks = self.dis.read_chunks(
+                self.chunk_size * self.pump_budget,
+                timeout=0 if self._cooperative else self.read_timeout)
+        except StreamTimeoutError:
+            return progress  # no input this step
+        pending = self._pending
+        if chunks:
+            taken = self.dis.bytes_delivered  # sole reader: through this batch
+            self._batch_in_bytes = self._batch_in_chunks = 0
+            try:
+                # Appending straight onto the pending output means a
+                # transform failing mid-batch leaves the earlier chunks'
+                # outputs parked there, and pump()'s error handler delivers
+                # them before closing.
+                self.transform_chunks(chunks, pending)
+            except Exception:
+                self._record_failed_input(taken, len(chunks))
+                raise
+            else:
+                nbytes = taken - self._input_done
+                self._record_input(nbytes, len(chunks))
+            finally:
+                # Outputs are parked on _pending by now, which keeps
+                # is_idle() False until they are delivered.
+                self._input_done = taken
+            if pending:
+                # A forwarded batch (the very chunks read, in order) is not
+                # measured again downstream: it hands over the total the
+                # DIS counted.  (``==`` compares the chunks by identity
+                # first; equal values would have equal lengths anyway.)
+                self._flush_pending(nbytes if pending == chunks else None)
             return True
-        return progress
+        # End of stream: the read raised instead if a byte writer's bad
+        # frame ended it.
+        if not self._finalized:
+            self._finalized = True
+            pending.extend(self._normalize_outputs(self.finalize()))
+        if pending:
+            self._flush_pending()
+        if not self._pending:
+            if self.propagate_eof:
+                self._close_output()
+            self._complete()
+        return True
 
     def _close_output_after_error(self) -> None:
         if self.propagate_eof and self.close_output_on_error:
             self._close_output()
 
-    def _queue_outputs(self, result: TransformResult) -> None:
-        """Normalise a transform result onto the pending-output queue."""
-        self._pending.extend(self._normalize_outputs(result))
+    def _flush_pending(self, nbytes: Optional[int] = None) -> bool:
+        """Deliver the parked output; True if any of it moved.
 
-    def _flush_pending(self) -> bool:
-        """Deliver queued output without blocking; True if any byte moved.
+        The one place output leaves a filter, on every engine.  A
+        cooperative step delivers with the non-blocking
+        ``DOS.try_write_many`` and leaves the output parked while the DOS
+        is detached mid-splice (retried on the reattach notification); a
+        threaded step blocks in ``DOS.write_many`` through back-pressure
+        and splices.  ``nbytes`` is the byte total of a forwarded batch
+        (see ``DOS.write_many``).
 
-        Stops (leaving the remainder queued) when the unit about to be
-        emitted satisfies an armed boundary predicate — the cooperative
-        equivalent of :meth:`_maybe_hold`'s blocking wait — or when the DOS
-        is detached mid-splice (retried on the reattach notification).
+        An armed boundary hold cuts the output before the first unit its
+        predicate matches: the units before it go out as one batch, and the
+        filter then parks (cooperative) or waits for :meth:`release_hold`
+        (threaded), with the boundary unit at the head of its output.
         """
         progress = False
         while self._pending:
-            with self._hold_lock:
-                predicate = self._boundary_predicate
-            if predicate is None and len(self._pending) > 1:
-                # No hold armed: move the whole parked batch in one
-                # non-blocking, all-or-nothing delivery.
-                batch = list(self._pending)
-                before = self.dos.bytes_written
-                if not self.dos.try_write_many(batch):
+            batch = self._pending
+            # Read without the hold lock, which only orders the writers:
+            # hold_at_boundary clears _resume before it arms a predicate,
+            # and release_hold disarms it before it sets _resume and wakes
+            # the filter, so a step racing either holds at most until then.
+            predicate = self._boundary_predicate
+            if predicate is not None and not self._resume.is_set():
+                cut = next((index for index, unit in enumerate(batch)
+                            if self._unit_matches(predicate, unit)), None)
+                if cut == 0:
+                    self._held.set()
+                    if self._cooperative:
+                        return progress
+                    self._resume.wait()  # release_hold(), or stop()
+                    continue
+                if cut is not None:
+                    batch, nbytes = batch[:cut], None
+            dos = self.dos
+            if self._cooperative:
+                before = dos.bytes_written
+                if not dos.try_write_many(batch, nbytes=nbytes):
                     return progress
-                if self._held.is_set():
-                    self._held.clear()
-                self._pending.clear()
-                self._record_emit_batch(batch, self.dos.bytes_written - before)
-                progress = True
-                continue
-            data = self._pending[0]
-            if (predicate is not None and not self._resume.is_set()
-                    and self._unit_matches(predicate, data)):
-                self._held.set()
-                return progress
-            before = self.dos.bytes_written
-            if not self.dos.try_write(data):
-                return progress
-            if self._held.is_set():
-                self._held.clear()
-            self._pending.popleft()
-            self._record_emit_batch((data,), self.dos.bytes_written - before)
+                written = dos.bytes_written - before
+            else:
+                written = dos.write_many(batch, nbytes=nbytes)
+            if batch is self._pending:
+                self._pending = []
+            else:
+                del self._pending[:len(batch)]
+            self._record_emit_batch(batch, written)
             progress = True
         return progress
 
     def _record_emit_batch(self, batch: List[bytes], nbytes: int) -> None:
-        """Account for a delivered batch (or one unit) with per-batch stats.
+        """Account for a delivered batch with per-batch stats.
 
         ``nbytes`` is what the DOS counted while delivering it — frames,
         on a hop that frames; the batch is not measured again.  Sources
@@ -704,7 +684,7 @@ class Filter:
         return None
 
     def _complete(self) -> None:
-        """Mark a cooperatively executed filter as finished (idempotent)."""
+        """Mark the filter as finished, after on_stop (idempotent)."""
         if self._finished.is_set():
             return
         try:
@@ -756,51 +736,6 @@ class Filter:
             outputs = [item if isinstance(item, (bytes, bytearray, memoryview))
                        else bytes(item) for item in result]
         return [data for data in outputs if len(data)]
-
-    def _emit(self, result: TransformResult) -> None:
-        self._emit_units(self._normalize_outputs(result))
-
-    def _emit_units(self, units: List[bytes],
-                    nbytes: Optional[int] = None) -> None:
-        """Deliver transformed units downstream, batching when possible.
-
-        With no boundary hold armed, the whole batch goes out through one
-        ``DOS.write_many`` — a single lock/connectivity round-trip and a
-        single batch of stats.  While a hold is armed, units are emitted
-        one at a time so :meth:`_maybe_hold` can stop the stream exactly at
-        the boundary unit.  A hold armed mid-batch takes effect from the
-        next batch, whose size is bounded by the pump budget.  ``nbytes``
-        is the byte total of a forwarded batch (see ``DOS.write_many``).
-        """
-        if not units:
-            return
-        with self._hold_lock:
-            hold_armed = self._boundary_predicate is not None
-        if not hold_armed and len(units) > 1:
-            self._record_emit_batch(units, self.dos.write_many(units,
-                                                               nbytes=nbytes))
-            return
-        for data in units:
-            self._maybe_hold(data)
-            self._record_emit_batch((data,), self.dos.write(data))
-
-    def _maybe_hold(self, unit: bytes) -> None:
-        """Honour a pending boundary hold before emitting ``unit``.
-
-        If a hold is armed and the unit about to be emitted satisfies the
-        boundary predicate, the worker blocks here until released; the
-        downstream side is left cleanly cut at the boundary and ``unit``
-        becomes the first thing sent over the new connection.
-        """
-        with self._hold_lock:
-            predicate = self._boundary_predicate
-        if predicate is None:
-            return
-        if not self._unit_matches(predicate, unit):
-            return
-        self._held.set()
-        self._resume.wait()
-        self._held.clear()
 
     #: The most recently emitted unit (kept for diagnostics and tests).
     _last_emitted: Optional[bytes] = None

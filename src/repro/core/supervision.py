@@ -206,7 +206,7 @@ class StreamSupervisor:
 
     def _check_stall(self, filter_obj: Filter, key: int) -> None:
         # Work is pending when input is queued — or when the filter took a
-        # batch and is busy inside its transform (the threaded read loop
+        # batch and is busy inside its transform (the threaded step
         # drains the DIS whole, so a wedged transform shows available()==0
         # but _busy True).  An idle filter with neither is just waiting.
         queued = filter_obj.dis.available()

@@ -6,7 +6,8 @@ the concurrency model, exactly as :mod:`repro.fec.backend` decouples the
 erasure code from its field algebra.  Three engines ship with the repo:
 
 * :class:`~repro.runtime.threaded.ThreadedEngine` — one worker thread per
-  chain element, the paper's original model and the reference semantics;
+  chain element, the paper's original model, blocking inside the same
+  ``Filter.pump`` step the cooperative engines call;
 * :class:`~repro.runtime.event.EventEngine` — a single-threaded cooperative
   scheduler that pumps filters only when their DIS reports readiness, for
   proxies hosting hundreds of concurrent streams;

@@ -1,10 +1,13 @@
 """The thread-per-filter engine — the paper's original execution model.
 
-Every chain element gets its own worker thread (``Filter.start``), blocking
-reads with a polling timeout and blocking writes with buffer back-pressure.
-Simple and fully preemptive, it is the reference engine the event engine is
-equivalence-tested against, and remains the default: for a handful of
-streams its per-element isolation beats the event engine's shared scheduler.
+Every chain element gets its own worker thread (``Filter.start``), which
+drives the same ``Filter.pump`` step a cooperative engine calls and blocks
+inside it where a cooperative step parks: the read waits on the buffer's own
+lock for up to ``read_timeout``, the delivery blocks through buffer
+back-pressure and splices, and a boundary hold waits for its release.
+Simple and fully preemptive, it remains the default: for a handful of
+streams its per-element isolation beats the cooperative engines' shared
+scheduler.
 """
 
 from __future__ import annotations

@@ -144,7 +144,7 @@ class DetachableOutputStream(_ListenerMixin):
     """The writing half of a detachable stream connection.
 
     Data written here is delivered to the connected
-    :class:`DetachableInputStream`'s buffer via its ``receive`` method, just
+    :class:`DetachableInputStream`'s buffer via its ``receive_many`` method,
     as ``PipedOutputStream.write`` calls ``PipedInputStream.receive`` in the
     JDK.
 
@@ -269,37 +269,24 @@ class DetachableOutputStream(_ListenerMixin):
         detached, the call blocks until a reconnect occurs, for at most
         ``timeout`` seconds (default: the stream's ``reconnect_wait``).
         Raises :class:`StreamClosedError` if the stream has been closed and
-        :class:`NotConnectedError` if no partner appears in time.
+        :class:`NotConnectedError` if no partner appears in time.  A batch
+        of one: see :meth:`write_many`.
         """
         if data is None:
             raise ValueError("data must be bytes, not None")
-        if not data:
-            return 0
-        wait = self._reconnect_wait if timeout is None else timeout
-        # The delivery into the sink's buffer happens while holding this
-        # DOS's lock so that a concurrent pause() (which also takes the lock)
-        # cannot observe an empty buffer *between* our connectivity check and
-        # our receive() call — pause() therefore always drains every byte of
-        # an in-flight write before declaring the pipe quiescent.
-        with self._lock:
-            sink = self._wait_for_sink(wait)
-            written = sink.receive(data)
-            self._bytes_written += written
-        return written
+        return self.write_many((data,), timeout)
 
     def write_many(self, chunks: Iterable[bytes], timeout: Optional[float] = None,
                    nbytes: Optional[int] = None) -> int:
         """Write a batch of chunks under one lock/connectivity round-trip.
 
-        Each chunk is delivered to the sink exactly as a :meth:`write` of
-        it would be (blocking through pauses and buffer back-pressure, with
-        the same error semantics), but connectivity is checked and the DOS
-        and buffer locks are taken once per *batch* rather than once per
-        chunk — the hot-path saving that makes multi-chunk filter pumps
-        cheap.  The list stays the caller's (the sink's buffer queues its
-        own copy of it).  Returns the total number of bytes written, as
-        counted by the sink — callers account from it rather than
-        measuring the batch again.
+        Blocks through pauses and buffer back-pressure (see :meth:`write`),
+        but connectivity is checked and the DOS and buffer locks are taken
+        once per *batch* rather than once per chunk — the hot-path saving
+        that makes multi-chunk filter pumps cheap.  The list stays the
+        caller's (the sink's buffer queues its own copy of it).  Returns
+        the total number of bytes written, as counted by the sink —
+        callers account from it rather than measuring the batch again.
 
         ``nbytes`` is the batch's byte total when it is a batch read whole
         out of an upstream buffer and forwarded unchanged: the sink's
@@ -316,9 +303,11 @@ class DetachableOutputStream(_ListenerMixin):
         if not nbytes and (not batch or not _any_payload(batch)):
             return 0
         wait = self._reconnect_wait if timeout is None else timeout
-        # Delivery happens under this DOS's lock for the same reason as in
-        # write(): a concurrent pause() must drain every byte of an
-        # in-flight batch before declaring the pipe quiescent.
+        # The delivery into the sink's buffer happens while holding this
+        # DOS's lock so that a concurrent pause() (which also takes the lock)
+        # cannot observe an empty buffer *between* our connectivity check and
+        # our receive_many() call — pause() therefore always drains every
+        # byte of an in-flight batch before declaring the pipe quiescent.
         with self._lock:
             sink = self._wait_for_sink(wait)
             # Account by the sink's own counter delta so chunks delivered
@@ -344,47 +333,34 @@ class DetachableOutputStream(_ListenerMixin):
             sink.buffer.interrupt_write()
 
     def try_write(self, data: bytes) -> bool:
-        """Deliver ``data`` to the sink without ever blocking.
-
-        Returns ``False`` when the stream is momentarily detached (paused
-        for a splice, or not yet connected) — the caller should retain the
-        data and retry after a reattach notification (see :meth:`subscribe`).
-        On success the bytes are force-delivered into the sink's buffer,
-        overshooting its capacity if necessary, so a single-threaded
-        cooperative pump can never deadlock against its own downstream;
-        memory is bounded by the scheduler's high-water-mark gating rather
-        than by blocking.  Raises :class:`StreamClosedError` once closed.
-        """
+        """Deliver ``data`` to the sink without ever blocking: a batch of
+        one (see :meth:`try_write_many`)."""
         if data is None:
             raise ValueError("data must be bytes, not None")
-        if not data:
-            return True
-        with self._lock:
-            if self._closed:
-                raise StreamClosedError(f"{self.name}: write on closed stream")
-            sink = self._sink
-            if not self._connected or sink is None:
-                return False
-            written = sink.receive(data, force=True)
-            self._bytes_written += written
-        return True
+        return self.try_write_many((data,))
 
-    def try_write_many(self, chunks: Iterable[bytes]) -> bool:
+    def try_write_many(self, chunks: Iterable[bytes],
+                       nbytes: Optional[int] = None) -> bool:
         """Deliver a batch of chunks without ever blocking (all-or-nothing).
 
-        The batch counterpart of :meth:`try_write`: returns ``False`` —
-        with *no* chunk delivered — when the stream is momentarily
-        detached, so the caller can retain the whole batch and retry after
-        a reattach notification.  On success every chunk is force-delivered
-        into the sink's buffer under a single lock round-trip.  Raises
-        :class:`StreamClosedError` once closed.
+        Returns ``False`` — with *no* chunk delivered — when the stream is
+        momentarily detached (paused for a splice, or not yet connected):
+        the caller should retain the whole batch and retry after a
+        reattach notification (see :meth:`subscribe`).  On success every
+        chunk is force-delivered into the sink's buffer under a single lock
+        round-trip, overshooting its capacity if necessary, so a
+        single-threaded cooperative pump can never deadlock against its own
+        downstream; memory is bounded by the scheduler's high-water-mark
+        gating rather than by blocking.  Raises :class:`StreamClosedError`
+        once closed.  ``nbytes`` is the total of a forwarded batch, as for
+        :meth:`write_many`.
         """
         if chunks is None:
             raise ValueError("chunks must be an iterable of bytes, not None")
         if not isinstance(chunks, (list, tuple)):
             chunks = list(chunks)
         batch = chunks
-        if not batch or not _any_payload(batch):
+        if not nbytes and (not batch or not _any_payload(batch)):
             return True
         with self._lock:
             if self._closed:
@@ -392,7 +368,7 @@ class DetachableOutputStream(_ListenerMixin):
             sink = self._sink
             if not self._connected or sink is None:
                 return False
-            written = sink.receive_many(batch, force=True)
+            written = sink.receive_many(batch, force=True, nbytes=nbytes)
             self._bytes_written += written
         return True
 
@@ -687,19 +663,12 @@ class DetachableInputStream(_ListenerMixin):
                 force: bool = False) -> int:
         """Accept ``data`` from the writing side into the buffer.
 
-        Called by :meth:`DetachableOutputStream.write`; exposed publicly so
+        A batch of one (see :meth:`receive_many`); exposed publicly so
         EndPoints and tests can inject data directly, exactly as the paper's
         ``DIS.receive()`` is callable from the DOS.  ``force=True`` bypasses
         the capacity bound (see :meth:`StreamBuffer.write`).
         """
-        if self._closed:
-            raise StreamClosedError(f"{self.name}: receive on closed stream")
-        if self._convert is not None:
-            return self.receive_many((data,), timeout=timeout, force=force)
-        written = self._buffer.write(data, timeout=timeout, force=force)
-        if written:
-            self._fire_listeners()
-        return written
+        return self.receive_many((data,), timeout=timeout, force=force)
 
     def receive_many(self, chunks: Iterable[bytes], timeout: Optional[float] = None,
                      force: bool = False, nbytes: Optional[int] = None) -> int:

@@ -271,6 +271,55 @@ def test_a_hold_armed_mid_stream_stops_the_bulk_draw_at_the_boundary(
         control.shutdown()
 
 
+#: One pump budget of units; unit 17 is the first boundary (a "G" unit).
+CUT_UNITS = [(b"G%02d;" if index and index % 17 == 0 else b"u%02d;") % index
+             for index in range(64)]
+
+
+def _record_deliveries(dos):
+    """Record every batch ``dos`` delivers through its batch calls."""
+    batches = []
+
+    def recorded(method):
+        def deliver(chunks, *args, **kwargs):
+            delivered = method(chunks, *args, **kwargs)
+            if delivered:  # try_write_many: False while detached
+                batches.append([bytes(chunk) for chunk in chunks])
+            return delivered
+        return deliver
+
+    dos.write_many = recorded(dos.write_many)
+    dos.try_write_many = recorded(dos.try_write_many)
+    return batches
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_a_hold_cuts_a_batch_at_its_boundary_unit(engine):
+    """A hold armed before a full budget is read: the units before the
+    boundary go out as one batch, the filter holds at the boundary unit,
+    and on release the rest follows in order — on every engine."""
+    source = IterableSource(CUT_UNITS, name="src")
+    sink = CollectorSink(name="sink")
+    control = ControlThread(source, sink, engine=engine, auto_start=False)
+    cutter = PassthroughFilter(name="cut")
+    control.add(cutter)
+    batches = _record_deliveries(cutter.dos)
+    # Armed (not yet engaged) before anything is read.
+    assert not cutter.hold_at_boundary(lambda unit: unit.startswith(b"G"),
+                                       timeout=0)
+    control.start()
+    try:
+        assert cutter._held.wait(10.0), "the hold never engaged"
+        assert cutter.held
+        assert batches == [CUT_UNITS[:17]]
+        cutter.release_hold()
+        assert control.wait_for_completion(timeout=15.0)
+        assert batches == [CUT_UNITS[:17], CUT_UNITS[17:]]
+        assert sink.data() == b"".join(CUT_UNITS)
+    finally:
+        control.shutdown()
+
+
 @pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("budget", BUDGETS)
 def test_stop_in_the_middle_of_a_draw_delivers_what_was_drawn(
@@ -415,8 +464,7 @@ def test_forwarding_and_transforming_hops_count_alike(engine, kind,
         engine, 64, True, monkeypatch, items(), filters, read_bytes)
     assert not wrong, wrong
     assert measured_once == reference
-    if engine == "threaded":
-        assert forwarded, "no hop forwarded its total"
+    assert forwarded, "no hop forwarded its total"
 
     data, stats, counters = measured_once
     total, units = sum(map(len, LARGE)), _pieces(LARGE, read_bytes)

@@ -6,14 +6,23 @@ thread behind — and a chain backed up behind a stalled sink paid one full
 timeout per element at shutdown.  The stop now interrupts the write (the
 twin of ``interrupt_read``): the worker leaves at once, records no error,
 leaves its streams open, and what it delivered before stays counted.
+
+A source blocked in ``produce()`` on its own thread is ended by the stop
+too, and the ``None`` its ``produce()`` then returns is not end of input:
+its stream stays open.
 """
 
+import socket
 import threading
 import time
 
-from repro.core import ControlThread, IterableSource, SinkEndPoint
+import pytest
+
+from repro.core import ControlThread, IterableSource, SinkEndPoint, SocketSource
 from repro.filters import PassthroughFilter
 from repro.streams import DetachableInputStream, DetachableOutputStream
+from repro.transport import LoopbackTransport, TransportSource
+from repro.transport.udp import TcpStreamConnection
 
 CHUNK = bytes(8192)
 
@@ -100,3 +109,46 @@ def test_a_chain_behind_a_stuck_sink_shuts_down_in_one_timeout():
     finally:
         sink.release.set()
         control.shutdown()
+
+
+def _socket_source():
+    """A SocketSource whose blocking receive outlasts the test."""
+    writer, reader = socket.socketpair()
+    connection = TcpStreamConnection(reader)
+    return (SocketSource(connection, recv_timeout=30.0), connection,
+            writer.close)
+
+
+def _transport_source():
+    """A TransportSource on its own thread, polling an idle receiver."""
+    transport = LoopbackTransport()
+    receiver = transport.open_channel("in").join("proxy")
+    return TransportSource(receiver), receiver, transport.close
+
+
+@pytest.mark.parametrize("make_source", [_socket_source, _transport_source],
+                         ids=["socket", "transport"])
+def test_stopping_a_source_blocked_in_produce_leaves_its_stream_open(
+        make_source):
+    source, blocking, cleanup = make_source()
+    receiving = threading.Event()
+    recv = blocking.recv
+
+    def watched_recv(*args, **kwargs):
+        receiving.set()
+        return recv(*args, **kwargs)
+
+    blocking.recv = watched_recv
+    downstream = DetachableInputStream(name="down")
+    source.dos.connect(downstream)
+    source.start()
+    try:
+        assert receiving.wait(5.0), "the source never blocked in produce()"
+        source.stop(timeout=5.0)
+        assert source.finished and not source.running
+        assert source.error is None and source.stats.errors == 0
+        assert not source.dos.closed and not downstream.closed
+        assert not downstream.at_eof()
+    finally:
+        source.stop(timeout=5.0)
+        cleanup()
