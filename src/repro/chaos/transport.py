@@ -62,57 +62,93 @@ class DatagramFaultInjector:
         return self._index
 
     def process(self, payload: bytes):
-        """Decide one datagram's fate.
+        """Decide one datagram's fate: :meth:`process_many` of one.
 
         Returns ``(sends, faults, delay_s)``: the payloads to hand to the
         inner channel *in order*, the ``(action, offset)`` faults applied
         (both tuples), and seconds to sleep before sending (latency/stall
         injection).
         """
+        sends, faults, pauses, _silenced = self.process_many((payload,))
+        return (tuple(sends), tuple(faults),
+                pauses[0][2] if pauses else self.plan.delay_s)
+
+    def process_many(self, payloads):
+        """Decide a batch of datagrams' fates, one after the other.
+
+        Returns ``(sends, faults, pauses, silenced)``: every payload to hand
+        to the inner channel, in order; every ``(action, offset)`` fault
+        applied, in order; one ``(sends before it, faults through it,
+        seconds)`` per datagram that must wait (latency/stall injection) —
+        the sends before it go out and the faults up to and including its
+        own are recorded first, then it sleeps; and the number of datagrams
+        that put nothing on the wire.
+        """
         plan = self.plan
-        offset = self._index
-        self._index += 1
-        # Fixed draw order, consumed whether or not each fault triggers:
-        # changing one probability never shifts another fault's sequence.
-        # (A draw is in [0, 1), so a zero probability never triggers.)
+        drop_p, drop_at = plan.drop_p, plan.drop_offsets
+        duplicate_p, duplicate_at = plan.duplicate_p, plan.duplicate_offsets
+        reorder_p, reorder_at = plan.reorder_p, plan.reorder_offsets
+        corrupt_p, corrupt_at = plan.corrupt_p, plan.corrupt_offsets
+        delay, stall = plan.delay_s, plan.stall_offset
         draw = self._rng.random
-        drop = draw() < plan.drop_p or offset in plan.drop_offsets
-        duplicate = (draw() < plan.duplicate_p
-                     or offset in plan.duplicate_offsets)
-        reorder = draw() < plan.reorder_p or offset in plan.reorder_offsets
-        corrupt = draw() < plan.corrupt_p or offset in plan.corrupt_offsets
-        if not (drop or duplicate or reorder or corrupt
-                or self._held is not None or plan.stall_offset == offset):
-            return (payload,), (), plan.delay_s  # no fault touches it
-
-        delay_s = plan.delay_s
-        faults: List[Tuple[str, int]] = []
-        if plan.stall_offset == offset and plan.stall_s > 0:
-            faults.append(("stall", offset))
-            delay_s += plan.stall_s
-
-        # The previously held datagram (if any) goes out *after* whatever
-        # this call emits — that completes the adjacent swap.
-        flush, self._held = self._held, None
+        offset, held = self._index, self._held
         sends: List[bytes] = []
-        if drop:
-            faults.append(("drop", offset))
-        else:
-            data = payload
-            if corrupt and len(payload):
-                data = self._corrupt(payload, offset)
-                faults.append(("corrupt", offset))
-            if reorder:
-                self._held = data
-                faults.append(("reorder", offset))
-            else:
-                sends.append(data)
-            if duplicate:
-                sends.append(data)
-                faults.append(("duplicate", offset))
-        if flush is not None:
-            sends.append(flush)
-        return tuple(sends), tuple(faults), delay_s
+        faults: List[Tuple[str, int]] = []
+        pauses: List[Tuple[int, int, float]] = []
+        silenced = 0
+        try:
+            for payload in payloads:
+                # Fixed draw order, consumed whether or not each fault
+                # triggers: changing one probability never shifts another
+                # fault's sequence.  (A draw is in [0, 1), so a zero
+                # probability never triggers.)
+                drop = draw() < drop_p or offset in drop_at
+                duplicate = draw() < duplicate_p or offset in duplicate_at
+                reorder = draw() < reorder_p or offset in reorder_at
+                corrupt = draw() < corrupt_p or offset in corrupt_at
+                if not (drop or duplicate or reorder or corrupt
+                        or held is not None or stall == offset):
+                    # No fault touches it.
+                    if delay > 0:
+                        pauses.append((len(sends), len(faults), delay))
+                    sends.append(payload)
+                    offset += 1
+                    continue
+
+                before = len(sends)
+                delay_s = delay
+                if stall == offset and plan.stall_s > 0:
+                    faults.append(("stall", offset))
+                    delay_s += plan.stall_s
+                # The previously held datagram (if any) goes out *after*
+                # whatever this datagram emits — that completes the
+                # adjacent swap.
+                flush, held = held, None
+                if drop:
+                    faults.append(("drop", offset))
+                else:
+                    data = payload
+                    if corrupt and len(payload):
+                        data = self._corrupt(payload, offset)
+                        faults.append(("corrupt", offset))
+                    if reorder:
+                        held = data
+                        faults.append(("reorder", offset))
+                    else:
+                        sends.append(data)
+                    if duplicate:
+                        sends.append(data)
+                        faults.append(("duplicate", offset))
+                if flush is not None:
+                    sends.append(flush)
+                if len(sends) == before:
+                    silenced += 1
+                if delay_s > 0:
+                    pauses.append((before, len(faults), delay_s))
+                offset += 1
+        finally:
+            self._index, self._held = offset, held
+        return sends, faults, pauses, silenced
 
     def flush(self) -> Optional[bytes]:
         """Release a datagram still held for reordering (on channel close)."""
@@ -190,31 +226,28 @@ class ChaosChannel(DatagramChannel):
     def send_many(self, payloads) -> int:
         """Decide the whole batch under one lock hold, forward it as one.
 
-        The injector sees the datagrams one by one, so the draw order, the
-        fault events and the counters are those of a loop of :meth:`send`;
-        only the survivors travel together, through one inner
-        ``send_many``.  A delay or stall first flushes what is already
-        decided, so wire order and timing are kept.  Returns the payloads
-        that reached (or, dropped or held back, targeted) a member.
+        One injector call decides it (:meth:`DatagramFaultInjector.process_many`).
+        The draw order, the fault events and the counters are those of a
+        loop of :meth:`send`; only the survivors travel together, through
+        one inner ``send_many``.  A delay or stall first flushes what is
+        already decided, so wire order and timing are kept.  Returns the
+        payloads that reached (or, dropped or held back, targeted) a member.
         """
-        survivors = silenced = forwarded = 0
-        outbox: List[bytes] = []
+        forwarded = 0
         with self._send_lock:
-            process = self._injector.process
-            for payload in payloads:
-                sends, faults, delay_s = process(payload)
-                if faults:
-                    self._record_faults(faults)
-                if delay_s > 0:
-                    forwarded += self._forward(outbox)
-                    outbox = []
-                    time.sleep(delay_s)
-                if sends:
-                    survivors += 1
-                    outbox.extend(sends)
-                else:
-                    silenced += 1
-            forwarded += self._forward(outbox)
+            injector = self._injector
+            first = injector.index
+            sends, faults, pauses, silenced = injector.process_many(payloads)
+            survivors = injector.index - first - silenced
+            sent = recorded = 0
+            for at, upto, delay_s in pauses:
+                self._record_faults(faults[recorded:upto])
+                forwarded += self._forward(sends[sent:at])
+                sent, recorded = at, upto
+                time.sleep(delay_s)
+            if faults:
+                self._record_faults(faults[recorded:])
+            forwarded += self._forward(sends[sent:] if sent else sends)
         # A dropped datagram still "targeted" the membership — callers use
         # the return value for fan-out accounting, not delivery receipts.
         if silenced and not self.members():

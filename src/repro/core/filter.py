@@ -52,6 +52,9 @@ from .stats import FilterStats
 #: A transform may return nothing, one chunk, or several chunks.
 TransformResult = Union[None, bytes, Iterable[bytes]]
 
+#: What a transform may return, or yield, to pass output on by reference.
+_BYTES_LIKE = (bytes, bytearray, memoryview)
+
 #: Predicate deciding whether a just-emitted packet ends a stream boundary.
 BoundaryPredicate = Callable[[bytes], bool]
 
@@ -730,12 +733,12 @@ class Filter:
         """
         if result is None:
             return []
-        if isinstance(result, (bytes, bytearray, memoryview)):
-            outputs: List[bytes] = [result]
-        else:
-            outputs = [item if isinstance(item, (bytes, bytearray, memoryview))
-                       else bytes(item) for item in result]
-        return [data for data in outputs if len(data)]
+        if isinstance(result, _BYTES_LIKE):
+            return [result] if len(result) else []
+        # One pass: materialise, then keep the unit only if it is non-empty.
+        return [data for item in result
+                if len(data := item if item.__class__ is bytes
+                       or isinstance(item, _BYTES_LIKE) else bytes(item))]
 
     #: The most recently emitted unit (kept for diagnostics and tests).
     _last_emitted: Optional[bytes] = None

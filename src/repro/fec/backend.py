@@ -170,22 +170,26 @@ class NumpyGFBackend(GFBackend):
         self, rows: Sequence[Sequence[int]], data: np.ndarray
     ) -> np.ndarray:
         data = _check_apply_inputs(rows, data)
-        matrix = np.asarray([[int(v) for v in row] for row in rows], dtype=np.uint8)
-        lut = self._lut_for(matrix.tobytes(), *matrix.shape)
-        result = np.zeros((matrix.shape[0], data.shape[1]), dtype=np.uint8)
-        for j in range(matrix.shape[1]):
-            result ^= np.take(lut[j], data[j], axis=1)
+        try:
+            lut = _lut_for(rows)
+        except TypeError:  # unhashable rows (lists): key on their values
+            lut = _lut_for(tuple(map(tuple, rows)))
+        result = lut[0].take(data[0], axis=1)
+        for j in range(1, len(lut)):
+            result ^= lut[j].take(data[j], axis=1)
         return result
 
-    @staticmethod
-    @lru_cache(maxsize=128)
-    def _lut_for(matrix_bytes: bytes, m: int, k: int) -> np.ndarray:
-        """lut[j] is the (m, 256) block of product rows for source row j,
-        contiguous so the per-row np.take gathers stream through it.  Encoders
-        and decoders apply the same small coefficient matrix to every group,
-        so the gather through MUL_TABLE is memoised per matrix."""
-        matrix = np.frombuffer(matrix_bytes, dtype=np.uint8).reshape(m, k)
-        return MUL_TABLE[matrix.T]
+
+@lru_cache(maxsize=128)
+def _lut_for(rows: Sequence[Sequence[int]]) -> np.ndarray:
+    """lut[j] is the (m, 256) block of product rows for source row j,
+    contiguous so the per-row take gathers stream through it.
+
+    Encoders and decoders apply the same small coefficient matrix to every
+    group and hold it as a tuple of tuples, so the matrix is resolved to its
+    gather through MUL_TABLE once, keyed on the rows themselves."""
+    matrix = np.asarray([[int(v) for v in row] for row in rows], dtype=np.uint8)
+    return MUL_TABLE[matrix.T]
 
 
 _BACKENDS: Registry[GFBackend] = Registry(

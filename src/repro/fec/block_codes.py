@@ -22,7 +22,7 @@ import numpy as np
 from .backend import GFBackend, resolve_backend
 from .matrix import GFMatrix
 from .vandermonde import (
-    _decoding_matrix_cached,
+    _repair_rows,
     systematic_generator_matrix,
     validate_parameters,
 )
@@ -71,7 +71,8 @@ class BlockErasureCode:
         self.n = n
         self.backend = resolve_backend(backend)
         self._generator: GFMatrix = systematic_generator_matrix(k, n)
-        self._parity_rows = [self._generator.row(i) for i in range(k, n)]
+        # A tuple of tuples: the backend resolves it to its lookup table once.
+        self._parity_rows = tuple(tuple(self._generator.row(i)) for i in range(k, n))
 
     # ------------------------------------------------------------ properties
 
@@ -191,10 +192,8 @@ class BlockErasureCode:
         for i in chosen:
             if i < self.k:
                 sources[i] = bytes(received[i])
-        missing = [i for i in range(self.k) if sources[i] is None]
+        missing, rows = _repair_rows(self.k, self.n, tuple(chosen))
         if missing:
-            decode_matrix = _decoding_matrix_cached(self.k, self.n, tuple(chosen))
-            rows = [decode_matrix.row(i) for i in missing]
             recovered = self.backend.apply_matrix(rows, batch)
             for slot, source_index in enumerate(missing):
                 sources[source_index] = recovered[slot].tobytes()
@@ -227,20 +226,14 @@ class BlockErasureCode:
                 raise FecCodingError(f"block index {index} outside [0, {self.n})")
 
         sources = np.empty((self.k, blocks.shape[1]), dtype=np.uint8)
-        present = {}
         for slot, index in enumerate(order):
             if index < self.k:
                 sources[index] = blocks[slot]
-                present[index] = slot
-        missing = [i for i in range(self.k) if i not in present]
+        missing, rows = _repair_rows(self.k, self.n, tuple(sorted(order)))
         if missing:
-            decode_matrix = _decoding_matrix_cached(
-                self.k, self.n, tuple(sorted(order))
-            )
-            # decoding_matrix expects its input rows in sorted-index order.
+            # The decode matrix expects its input rows in sorted-index order.
             sort_order = np.argsort(order, kind="stable")
             sorted_batch = np.ascontiguousarray(blocks[sort_order])
-            rows = [decode_matrix.row(i) for i in missing]
             recovered = self.backend.apply_matrix(rows, sorted_batch)
             for slot, source_index in enumerate(missing):
                 sources[source_index] = recovered[slot]

@@ -127,15 +127,26 @@ def pad_block(payload: bytes, block_size: int) -> bytes:
 
 def unpad_block(block: bytes) -> bytes:
     """Recover the original payload from a padded block."""
+    return _unpad(block, 0, len(block))
+
+
+def _unpad(data: bytes, start: int, end: int) -> bytes:
+    """The payload of the padded block ``data[start:end]``, sliced once.
+
+    The block is read where it lies — inside a wire packet, behind its
+    header, or inside a row of reconstructed blocks — so it is never
+    copied out on its own first.
+    """
     try:
-        (length,) = _LENGTH.unpack_from(block)
-    except struct.error:
-        raise FecPacketError(
-            "padded block shorter than its length prefix") from None
-    if length > len(block) - 2:
-        raise FecPacketError(
-            f"length prefix {length} exceeds block payload {len(block) - 2}")
-    return block[2:2 + length]
+        stop = start + 2 + (data[start] << 8 | data[start + 1])
+    except IndexError:
+        stop = end + 1
+    if stop > end:
+        if end - start < 2:
+            raise FecPacketError("padded block shorter than its length prefix")
+        raise FecPacketError(f"length prefix {stop - start - 2} exceeds "
+                             f"block payload {end - start - 2}")
+    return data[start + 2:stop]
 
 
 def block_size_for(payloads: "list[bytes]") -> int:

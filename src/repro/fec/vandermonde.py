@@ -19,7 +19,7 @@ generator matrix G has the properties we need:
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import List
+from typing import List, Tuple
 
 from .gf256 import FIELD_SIZE, gf_pow
 from .matrix import GFMatrix
@@ -119,3 +119,15 @@ def _decoding_matrix_cached(k: int, n: int, received_indices: "tuple[int, ...]"
     skip the defensive copy made by :func:`decoding_matrix`."""
     generator = _systematic_generator_matrix_cached(k, n)
     return generator.submatrix(received_indices).inverse()
+
+
+@lru_cache(maxsize=4096)
+def _repair_rows(k: int, n: int, chosen: "tuple[int, ...]"
+                 ) -> Tuple[Tuple[int, ...], Tuple[Tuple[int, ...], ...]]:
+    """The source indices missing from the sorted received ``chosen`` and
+    the decode-matrix rows that rebuild them, as one tuple of tuples — the
+    hashable form a backend resolves to its lookup table once per
+    pattern."""
+    matrix = _decoding_matrix_cached(k, n, chosen)
+    missing = tuple(i for i in range(k) if i not in chosen)
+    return missing, tuple(tuple(matrix.row(i)) for i in missing)

@@ -18,7 +18,7 @@ import threading
 from typing import List, Optional
 
 from ..core.filter import PacketFilter
-from ..fec import FecGroupDecoder, FecGroupEncoder, FecPacket, FecPacketError
+from ..fec import FecGroupDecoder, FecGroupEncoder
 
 #: The configuration used in the paper's Figure 7 experiment.
 PAPER_FEC_K = 4
@@ -76,12 +76,9 @@ class FecEncoderFilter(PacketFilter):
                           outputs: Optional[List[bytes]] = None) -> List[bytes]:
         if outputs is None:
             outputs = []
-        fec_packets: List[FecPacket] = []
-        try:
-            self._encoder.add_batch(packets, fec_packets)
-        finally:
-            # A rejected payload leaves the groups completed before it.
-            outputs += [fec_packet.pack() for fec_packet in fec_packets]
+        # Packed by the encoder straight out of its frame; a rejected
+        # payload leaves the groups completed before it in ``outputs``.
+        self._encoder.add_wire(packets, outputs)
         return outputs
 
     def finalize_packets(self) -> List[bytes]:
@@ -132,23 +129,13 @@ class FecDecoderFilter(PacketFilter):
                           outputs: Optional[List[bytes]] = None) -> List[bytes]:
         if outputs is None:
             outputs = []
-        unpack = FecPacket.unpack
-        run: List[FecPacket] = []
-        for packet in packets:
-            try:
-                run.append(unpack(packet))
-            except FecPacketError:
-                if run:
-                    # Flush the run first so a passthrough packet keeps its
-                    # position relative to the decoded payloads around it.
-                    self._group_decoder.add_batch(run, outputs)
-                    run = []
-                self.unknown_packets += 1
-                if self.passthrough_unknown:
-                    outputs.append(packet)
-        if run:
-            self._group_decoder.add_batch(run, outputs)
+        self._group_decoder.add_wire(packets, outputs, self._stray)
         return outputs
+
+    def _stray(self, packet: bytes) -> bool:
+        """Count a packet that is not FEC; True forwards it unchanged."""
+        self.unknown_packets += 1
+        return self.passthrough_unknown
 
     def finalize_packets(self) -> List[bytes]:
         return self._group_decoder.flush()

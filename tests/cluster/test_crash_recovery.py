@@ -15,9 +15,14 @@ from repro.obs.events import (
 
 
 def _wait_for_restart(handle, old_pid, timeout=20.0):
+    """Wait for the whole restart: the new process is connected as soon as
+    it is spawned, but its streams are replayed and its shard marked up
+    after that, and the worker-restart event is emitted last."""
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
-        if handle.pid != old_pid and handle.connection is not None:
+        if handle.pid != old_pid and handle.connection is not None and any(
+                record["cid"] == handle.correlation_id for record in
+                get_event_log().records(event=EVENT_WORKER_RESTART)):
             return True
         time.sleep(0.05)
     return False
