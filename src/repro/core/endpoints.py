@@ -332,10 +332,11 @@ class SocketSource(SourceEndPoint):
 class SinkEndPoint(EndPoint):
     """Reads data from the chain and delivers it to an external consumer.
 
-    Subclasses implement :meth:`consume`.  When ``expect_frames`` is True the
-    sink takes packets — its DIS says so, and a byte writer's frames are
-    de-framed on the hop — and :meth:`consume` is called once per packet;
-    otherwise it is called with raw chunks.
+    Subclasses implement :meth:`consume` — or, with a cheaper bulk path,
+    :meth:`consume_many` alone.  When ``expect_frames`` is True the sink
+    takes packets — its DIS says so, and a byte writer's frames are
+    de-framed on the hop — and each item is one packet; otherwise items
+    are raw chunks.
     """
 
     type_name = "sink-endpoint"
@@ -361,18 +362,10 @@ class SinkEndPoint(EndPoint):
             self.consume(data)
             self.items_consumed += 1
 
-    def transform(self, chunk: bytes):
-        if self.expect_frames:
-            self.stats.record_input(0, packets=1)
-        self.consume(chunk)
-        self.items_consumed += 1
-        return None
-
     def transform_chunks(self, chunks, outputs) -> None:
         """Deliver a whole input batch through :meth:`consume_many`, so a
         sink with a bulk consume (the transport sink's vectored send)
-        receives the full budget of packets in one call.  Stats match the
-        per-chunk path."""
+        receives the full budget of packets in one call."""
         if self.expect_frames:
             self.stats.record_input_batch(0, len(chunks), packets=len(chunks))
         # A consume failing mid-batch was still *given* every chunk, so the
@@ -471,9 +464,6 @@ class NullSink(SinkEndPoint):
     """Discards everything (useful for throughput benchmarks)."""
 
     type_name = "null-sink"
-
-    def consume(self, data: bytes) -> None:  # noqa: D401 - intentionally empty
-        pass
 
     def consume_many(self, items) -> None:
         self.items_consumed += len(items)

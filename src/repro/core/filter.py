@@ -775,23 +775,19 @@ class Filter:
 class PacketFilter(Filter):
     """A filter that operates on packets rather than raw bytes.
 
-    Each input chunk is one packet, handed to :meth:`transform_packet`;
-    every (non-empty) packet returned goes downstream as one chunk.  Its DIS
-    and DOS say they carry packets, so only a hop to or from a byte element
-    is framed (see :mod:`repro.streams.detachable`, "Packet hops") and byte-
-    and packet-oriented filters can be mixed freely in one chain.
+    Each input chunk is one packet.  A pump step hands its batch of packets
+    to :meth:`transform_packets`, whose default gives each to
+    :meth:`transform_packet`; every (non-empty) packet returned goes
+    downstream as one chunk.  Its DIS and DOS say they carry packets, so
+    only a hop to or from a byte element is framed (see
+    :mod:`repro.streams.detachable`, "Packet hops") and byte- and
+    packet-oriented filters can be mixed freely in one chain.
     """
 
     type_name = "packet-filter"
 
     #: Result type for packet transforms: none, one, or many packets.
     PacketResult = Union[None, bytes, Iterable[bytes]]
-
-    #: When True, :meth:`transform_chunks` hands the whole batch of input
-    #: packets to one :meth:`transform_packets` call instead of per-packet
-    #: :meth:`transform_packet` calls — the hook the FEC filters use to run
-    #: a single vectorised encode/decode over the full pump budget.
-    fused_packet_batch = False
 
     def __init__(self, name: Optional[str] = None, read_timeout: float = 0.05,
                  chunk_size: int = 65536, propagate_eof: bool = True,
@@ -809,16 +805,25 @@ class PacketFilter(Filter):
 
     def transform_packets(self, packets: List[bytes],
                           outputs: List[bytes]) -> None:
-        """Transform a whole batch of packets at once (fused mode),
-        appending the resulting packets onto ``outputs``.
+        """Transform a batch of packets, appending the results to ``outputs``.
 
-        Called instead of :meth:`transform_packet` when
-        :attr:`fused_packet_batch` is True; implementations must be
+        The default is a loop of :meth:`transform_packet`.  A filter that
+        can fuse work across the batch (the FEC filters run one vectorised
+        encode/decode over it) overrides this instead; it must be
         byte-equivalent to transforming the packets one at a time — what
         the packets before one that raises produced included, which is
         why results are appended rather than returned.
         """
-        raise NotImplementedError
+        for packet in packets:
+            # Tallied as seen, so a raise accounts only these (see
+            # Filter.transform_chunks).
+            self._batch_in_bytes += len(packet)
+            self._batch_in_chunks += 1
+            result = self.transform_packet(packet)
+            if isinstance(result, _BYTES_LIKE):
+                outputs.append(result)
+            elif result is not None:
+                outputs.extend(self._normalize_outputs(result))
 
     def finalize_packets(self) -> "PacketFilter.PacketResult":
         """Produce trailing packets at end-of-stream (e.g. flush FEC groups)."""
@@ -826,30 +831,22 @@ class PacketFilter(Filter):
 
     # -- plumbing ---------------------------------------------------------------
 
-    def transform(self, chunk: bytes) -> TransformResult:
-        self.stats.record_input(0, packets=1)
-        return self._packets_out(self.transform_packet(chunk))
-
     def transform_chunks(self, chunks: List[bytes], outputs) -> None:
-        """Transform the batch's packets fused, in one call.
+        """Hand the batch's packets to one :meth:`transform_packets` call.
 
-        With :attr:`fused_packet_batch` unset this is the per-chunk base
-        behaviour.  Fused, every packet in the batch reaches
-        :meth:`transform_packets` in one call — so a pump budget of FEC
-        packets hits the numpy backend as one 2D array — with stats
-        identical to the per-packet path.
+        A pump budget of FEC packets thus hits the numpy backend as one 2D
+        array.  Input is accounted as packets too: every packet of the
+        batch — or, when the transform tallies them as it goes (the
+        default loop), only those it saw before a raise.
         """
-        if not self.fused_packet_batch:
-            super().transform_chunks(chunks, outputs)
-            return
-        # Per-packet accounting is record_input(0, packets=1) per packet,
-        # which also bumps chunks_in — mirror both in one batched call.
-        self.stats.record_input_batch(0, len(chunks), packets=len(chunks))
+        seen = self._batch_in_chunks
         results: List[bytes] = []
         try:
             self.transform_packets(chunks, results)
         finally:
             # Also when a packet mid-batch raised: see Filter.transform_chunks.
+            seen = self._batch_in_chunks - seen or len(chunks)
+            self.stats.record_input_batch(0, seen, packets=seen)
             outputs.extend(self._packets_out(results))
 
     def finalize(self) -> TransformResult:

@@ -26,15 +26,18 @@ PAPER_FEC_N = 6
 
 #: Each encoder instance claims its own block of group identifiers so that a
 #: decoder never confuses the groups of two encoders that served the same
-#: stream at different times (FEC enabled, disabled, re-enabled).
+#: stream at different times (FEC enabled, disabled, re-enabled).  Bases
+#: wrap below 2^31, so every encoder keeps at least 2^31 ids of headroom
+#: under the wire's u32 group id.
 _GROUP_ID_STRIDE = 1 << 20
+_GROUP_ID_BASES = 1 << 31
 _encoder_counter = itertools.count()
 _encoder_counter_lock = threading.Lock()
 
 
 def _allocate_group_id_base() -> int:
     with _encoder_counter_lock:
-        return next(_encoder_counter) * _GROUP_ID_STRIDE % (1 << 32)
+        return next(_encoder_counter) * _GROUP_ID_STRIDE % _GROUP_ID_BASES
 
 
 class FecEncoderFilter(PacketFilter):
@@ -47,10 +50,6 @@ class FecEncoderFilter(PacketFilter):
     """
 
     type_name = "fec-encoder"
-
-    #: One fused gather-XOR pass per pump budget: every group completed by
-    #: the batch reaches the numpy backend as a single 2D array.
-    fused_packet_batch = True
 
     def __init__(self, k: int = PAPER_FEC_K, n: int = PAPER_FEC_N,
                  name: Optional[str] = None,
@@ -68,9 +67,6 @@ class FecEncoderFilter(PacketFilter):
     def encoder_stats(self):
         """Group/packet counters maintained by the underlying encoder."""
         return self._encoder.stats
-
-    def transform_packet(self, packet: bytes) -> List[bytes]:
-        return self.transform_packets((packet,))
 
     def transform_packets(self, packets: List[bytes],
                           outputs: Optional[List[bytes]] = None) -> List[bytes]:
@@ -102,11 +98,6 @@ class FecDecoderFilter(PacketFilter):
 
     type_name = "fec-decoder"
 
-    #: Batch the decode too: consecutive runs of valid FEC packets in one
-    #: pump budget reach the group decoder (and its fused reconstruction)
-    #: as a single call.
-    fused_packet_batch = True
-
     def __init__(self, name: Optional[str] = None,
                  passthrough_unknown: bool = True,
                  max_tracked_groups: int = 1024,
@@ -121,9 +112,6 @@ class FecDecoderFilter(PacketFilter):
     def decoder_stats(self):
         """Group/packet counters maintained by the underlying decoder."""
         return self._group_decoder.stats
-
-    def transform_packet(self, packet: bytes) -> List[bytes]:
-        return self.transform_packets((packet,))
 
     def transform_packets(self, packets: List[bytes],
                           outputs: Optional[List[bytes]] = None) -> List[bytes]:

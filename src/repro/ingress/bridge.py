@@ -37,6 +37,7 @@ from typing import Deque, Iterable, Optional
 
 from ..core.endpoints import SinkEndPoint, SourceEndPoint
 from ..streams.awaitable import AsyncStreamEvent
+from ..streams.detachable import ListenerMixin
 
 __all__ = ["IngressSource", "IngressSink", "IngressStreamBridge"]
 
@@ -45,36 +46,7 @@ __all__ = ["IngressSource", "IngressSink", "IngressStreamBridge"]
 DEFAULT_MAX_ITEMS = 64
 
 
-class _IngressListenerMixin:
-    """subscribe/unsubscribe hooks, equality-deduped, fired outside locks.
-
-    The same contract as the detachable streams' listener mixin: listeners
-    must be fast, must not call back into the endpoint, and fire on
-    whatever thread caused the state change.
-    """
-
-    def _init_listeners(self) -> None:
-        self._ingress_listeners: list = []
-
-    def subscribe(self, listener) -> None:
-        """Register ``listener`` to be called on queue state changes."""
-        if listener not in self._ingress_listeners:
-            self._ingress_listeners = [*self._ingress_listeners, listener]
-
-    def unsubscribe(self, listener) -> None:
-        """Remove a previously registered listener (missing is a no-op)."""
-        self._ingress_listeners = [
-            cb for cb in self._ingress_listeners if cb != listener]
-
-    def _fire_ingress_listeners(self) -> None:
-        for listener in self._ingress_listeners:
-            try:
-                listener()
-            except Exception:  # noqa: BLE001 - a dying waiter must not
-                pass           # break delivery to the remaining listeners
-
-
-class IngressSource(_IngressListenerMixin, SourceEndPoint):
+class IngressSource(ListenerMixin, SourceEndPoint):
     """Chain source fed by an asyncio protocol handler.
 
     The handler pushes payloads with :meth:`push` (non-blocking; refused
@@ -94,7 +66,6 @@ class IngressSource(_IngressListenerMixin, SourceEndPoint):
         if max_pending <= 0:
             raise ValueError("max_pending must be positive")
         super().__init__(name=name, frame_output=frame_output)
-        self._init_listeners()
         self.max_pending = max_pending
         self._queue: Deque[bytes] = deque()
         self._cond = threading.Condition()
@@ -119,7 +90,7 @@ class IngressSource(_IngressListenerMixin, SourceEndPoint):
             self._queue.append(bytes(data))
             self._cond.notify_all()
         self._notify_engine()
-        self._fire_ingress_listeners()
+        self._fire_listeners()
         return True
 
     def close_input(self) -> None:
@@ -130,7 +101,7 @@ class IngressSource(_IngressListenerMixin, SourceEndPoint):
             self._input_closed = True
             self._cond.notify_all()
         self._notify_engine()
-        self._fire_ingress_listeners()
+        self._fire_listeners()
 
     def pending_items(self) -> int:
         """Number of pushed payloads not yet consumed by the chain."""
@@ -165,7 +136,7 @@ class IngressSource(_IngressListenerMixin, SourceEndPoint):
                     return None
             if popped is None:
                 return b""
-            self._fire_ingress_listeners()  # room freed: wake the handler
+            self._fire_listeners()  # room freed: wake the handler
             return popped
         while not self._stop_event.is_set():
             with self._cond:
@@ -176,7 +147,7 @@ class IngressSource(_IngressListenerMixin, SourceEndPoint):
                 else:
                     self._cond.wait(0.1)
                     continue
-            self._fire_ingress_listeners()
+            self._fire_listeners()
             return popped
         return None
 
@@ -187,7 +158,7 @@ class IngressSource(_IngressListenerMixin, SourceEndPoint):
         super().stop(timeout=timeout)
 
 
-class IngressSink(_IngressListenerMixin, SinkEndPoint):
+class IngressSink(ListenerMixin, SinkEndPoint):
     """Chain sink drained by an asyncio protocol handler.
 
     The chain's output accumulates in a bounded outbound queue that the
@@ -208,7 +179,6 @@ class IngressSink(_IngressListenerMixin, SinkEndPoint):
         if max_buffered <= 0:
             raise ValueError("max_buffered must be positive")
         super().__init__(name=name, expect_frames=expect_frames)
-        self._init_listeners()
         self.max_buffered = max_buffered
         self._out: Deque[bytes] = deque()
         self._cond = threading.Condition()
@@ -227,7 +197,7 @@ class IngressSink(_IngressListenerMixin, SinkEndPoint):
         if self.cooperative:
             with self._cond:
                 self._out.append(bytes(data))
-            self._fire_ingress_listeners()
+            self._fire_listeners()
             return
         # Threaded engine: this sink owns a thread, so honest blocking
         # back-pressure is available (stop-aware, like every endpoint).
@@ -239,11 +209,11 @@ class IngressSink(_IngressListenerMixin, SinkEndPoint):
                 self._cond.wait(0.1)
         else:
             return
-        self._fire_ingress_listeners()
+        self._fire_listeners()
 
     def finalize(self):
         result = super().finalize()
-        self._fire_ingress_listeners()  # wake a handler awaiting EOF
+        self._fire_listeners()  # wake a handler awaiting EOF
         return result
 
     # -- the network side (asyncio handler) --------------------------------

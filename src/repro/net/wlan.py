@@ -36,9 +36,10 @@ PER_PACKET_OVERHEAD_S = 0.0006
 class WirelessReceiver:
     """A mobile host listening on the wireless LAN.
 
-    Packets delivered to the receiver are appended to an inbox (optionally
-    forwarded to a callback); packets lost by the channel are counted but
-    never seen by the inbox, exactly like a UDP socket on a lossy link.
+    Packets delivered to the receiver are handed to ``on_receive`` when one
+    is set, and appended to the inbox otherwise — a consumer fed by the
+    callback keeps no second copy here; packets lost by the channel are
+    counted but never seen, exactly like a UDP socket on a lossy link.
     """
 
     def __init__(self, name: str, loss_model: LossModel,
@@ -56,7 +57,7 @@ class WirelessReceiver:
         """Called by the access point for every transmitted packet.
 
         Applies the receiver's loss model and returns True when the packet
-        was delivered.
+        was delivered: to ``on_receive`` if set, else to the inbox.
         """
         lost = self.loss_model.packet_lost()
         self.loss_trace.append(lost)
@@ -64,8 +65,9 @@ class WirelessReceiver:
             self.stats.record_loss()
             return False
         self.stats.record_delivery(len(data))
-        self.inbox.append(data)
-        if self.on_receive is not None:
+        if self.on_receive is None:
+            self.inbox.append(data)
+        else:
             self.on_receive(data)
         return True
 

@@ -32,15 +32,8 @@ from typing import Deque, Dict, List, Optional, Set, Tuple
 from ..fec.packets import FecPacket, FecPacketError
 from ..media import MediaPacket
 from ..media.packetizer import MediaPacketError
-from ..rapidware.events import (
-    EVENT_LOSS_RATE,
-    SEVERITY_CRITICAL,
-    SEVERITY_DEGRADED,
-    SEVERITY_INFO,
-    Event,
-    EventBus,
-)
-from ..rapidware.raplets import ObserverRaplet
+from ..rapidware.events import Event, EventBus
+from ..rapidware.observers import LossEventPolicy
 
 
 class LossEstimator:
@@ -195,11 +188,12 @@ class LossEstimator:
         return counters
 
 
-class MeasuredLossObserver(ObserverRaplet):
+class MeasuredLossObserver(LossEventPolicy):
     """Publish measured loss as standard ``EVENT_LOSS_RATE`` events.
 
-    The raplet protocol and event payload match
-    :class:`~repro.rapidware.observers.LossRateObserver`, so the existing
+    The policy and event payload are those of
+    :class:`~repro.rapidware.observers.LossRateObserver` (both are a
+    :class:`~repro.rapidware.observers.LossEventPolicy`), so the existing
     :class:`~repro.rapidware.responders.FecResponder` consumes measured
     loss without modification.  Events carry ``measured: True`` so logs
     can distinguish the two planes.
@@ -216,20 +210,17 @@ class MeasuredLossObserver(ObserverRaplet):
         smoothing: float = 0.5,
         name: Optional[str] = None,
     ) -> None:
-        super().__init__(name or f"measured-loss-observer:{receiver_name}", bus)
-        if not 0.0 <= degraded_threshold <= critical_threshold <= 1.0:
-            raise ValueError("thresholds must satisfy 0 <= degraded <= critical <= 1")
-        if not 0.0 < smoothing <= 1.0:
-            raise ValueError("smoothing must be in (0, 1]")
+        super().__init__(
+            name or f"measured-loss-observer:{receiver_name}",
+            bus,
+            degraded_threshold,
+            critical_threshold,
+            min_sample_packets,
+            smoothing,
+        )
         self.estimator = estimator
         self.receiver_name = receiver_name
-        self.degraded_threshold = degraded_threshold
-        self.critical_threshold = critical_threshold
-        self.min_sample_packets = min_sample_packets
-        self.smoothing = smoothing
         self._last_observed = 0
-        self.last_loss_rate = 0.0
-        self.raw_loss_rate = 0.0
 
     def measure(self, now_s: float) -> List[Event]:
         observed = self.estimator.packets_observed
@@ -237,28 +228,6 @@ class MeasuredLossObserver(ObserverRaplet):
         if delta < self.min_sample_packets:
             return []
         self._last_observed = observed
-        window_loss = self.estimator.loss_rate()
-        self.raw_loss_rate = window_loss
-        keep = 1.0 - self.smoothing
-        loss_rate = self.smoothing * window_loss + keep * self.last_loss_rate
-        self.last_loss_rate = loss_rate
-
-        if loss_rate >= self.critical_threshold:
-            severity = SEVERITY_CRITICAL
-        elif loss_rate >= self.degraded_threshold:
-            severity = SEVERITY_DEGRADED
-        else:
-            severity = SEVERITY_INFO
-        event = Event(
-            event_type=EVENT_LOSS_RATE,
-            source=self.name,
-            severity=severity,
-            time_s=now_s,
-            data={
-                "receiver": self.receiver_name,
-                "loss_rate": loss_rate,
-                "window_packets": delta,
-                "measured": True,
-            },
+        return self._loss_event(
+            now_s, self.receiver_name, self.estimator.loss_rate(), delta, measured=True
         )
-        return [event]

@@ -197,7 +197,7 @@ class WirelessAudioReceiver:
         """Feed the packets captured off the WLAN (in arrival order)."""
         for raw in raw_packets:
             self._classify_raw(raw)
-            for payload in self.decoder.transform_packet(raw) or []:
+            for payload in self.decoder.transform_packets((raw,)):
                 self._accept_media(payload, reconstructed=True)
         # Flush groups that never completed (end of experiment).
 

@@ -26,48 +26,35 @@ from .events import (
 from .raplets import ObserverRaplet
 
 
-class LossRateObserver(ObserverRaplet):
-    """Watches a wireless receiver's delivery statistics.
+class LossEventPolicy(ObserverRaplet):
+    """The loss-event policy shared by every loss observer.
 
-    The loss rate is computed over the packets delivered since the previous
-    observation (a sliding "recent window" rather than a lifetime average),
-    because the adaptation decision must track *current* link quality — the
-    user may have walked away from the access point minutes after a long
-    clean period.
+    A subclass measures the loss over its own window of packets; this
+    smooths the window's loss exponentially and grades the estimate on the
+    degraded / critical ladder into one ``EVENT_LOSS_RATE`` event, so the
+    simulated and the measured planes drive the responders alike.
     """
 
-    def __init__(self, receiver: WirelessReceiver, bus: EventBus,
+    def __init__(self, name: str, bus: EventBus,
                  degraded_threshold: float = 0.01,
                  critical_threshold: float = 0.10,
                  min_sample_packets: int = 20,
-                 smoothing: float = 0.5,
-                 name: Optional[str] = None) -> None:
-        super().__init__(name or f"loss-observer:{receiver.name}", bus)
+                 smoothing: float = 0.5) -> None:
+        super().__init__(name, bus)
         if not 0.0 <= degraded_threshold <= critical_threshold <= 1.0:
             raise ValueError("thresholds must satisfy 0 <= degraded <= critical <= 1")
         if not 0.0 < smoothing <= 1.0:
             raise ValueError("smoothing must be in (0, 1]")
-        self.receiver = receiver
         self.degraded_threshold = degraded_threshold
         self.critical_threshold = critical_threshold
         self.min_sample_packets = min_sample_packets
         self.smoothing = smoothing
-        self._last_sent = 0
-        self._last_received = 0
         self.last_loss_rate = 0.0
         self.raw_loss_rate = 0.0
 
-    def measure(self, now_s: float) -> List[Event]:
-        stats: ReceiverStats = self.receiver.stats
-        sent = stats.packets_sent_to
-        received = stats.packets_received
-        delta_sent = sent - self._last_sent
-        delta_received = received - self._last_received
-        if delta_sent < self.min_sample_packets:
-            return []
-        self._last_sent = sent
-        self._last_received = received
-        window_loss = 1.0 - (delta_received / delta_sent) if delta_sent else 0.0
+    def _loss_event(self, now_s: float, receiver: str, window_loss: float,
+                    window_packets: int, **extra) -> List[Event]:
+        """Smooth and grade one window's loss into its event."""
         self.raw_loss_rate = window_loss
         # Exponentially smoothed estimate: reacts quickly to bursts of loss
         # (a fresh loss raises the estimate immediately) but decays gradually
@@ -84,9 +71,47 @@ class LossRateObserver(ObserverRaplet):
             severity = SEVERITY_INFO
         return [Event(event_type=EVENT_LOSS_RATE, source=self.name,
                       severity=severity, time_s=now_s,
-                      data={"receiver": self.receiver.name,
+                      data={"receiver": receiver,
                             "loss_rate": loss_rate,
-                            "window_packets": delta_sent})]
+                            "window_packets": window_packets, **extra})]
+
+
+class LossRateObserver(LossEventPolicy):
+    """Watches a wireless receiver's delivery statistics.
+
+    The loss rate is computed over the packets delivered since the previous
+    observation (a sliding "recent window" rather than a lifetime average),
+    because the adaptation decision must track *current* link quality — the
+    user may have walked away from the access point minutes after a long
+    clean period.
+    """
+
+    def __init__(self, receiver: WirelessReceiver, bus: EventBus,
+                 degraded_threshold: float = 0.01,
+                 critical_threshold: float = 0.10,
+                 min_sample_packets: int = 20,
+                 smoothing: float = 0.5,
+                 name: Optional[str] = None) -> None:
+        super().__init__(name or f"loss-observer:{receiver.name}", bus,
+                         degraded_threshold, critical_threshold,
+                         min_sample_packets, smoothing)
+        self.receiver = receiver
+        self._last_sent = 0
+        self._last_received = 0
+
+    def measure(self, now_s: float) -> List[Event]:
+        stats: ReceiverStats = self.receiver.stats
+        sent = stats.packets_sent_to
+        received = stats.packets_received
+        delta_sent = sent - self._last_sent
+        delta_received = received - self._last_received
+        if delta_sent < self.min_sample_packets:
+            return []
+        self._last_sent = sent
+        self._last_received = received
+        window_loss = 1.0 - (delta_received / delta_sent) if delta_sent else 0.0
+        return self._loss_event(now_s, self.receiver.name, window_loss,
+                                delta_sent)
 
 
 class BandwidthObserver(ObserverRaplet):

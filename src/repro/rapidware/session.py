@@ -59,16 +59,14 @@ class AdaptiveAudioSession:
                            transport=transport)
         self.channel, self.wlan, self._simulated = open_wireless_channel(
             self.proxy, "adaptive-audio", wlan=wlan, seed=seed)
-        # Under inproc the capture path is the simulated receiver's inbox,
-        # so the channel-side queue would only duplicate every packet for
-        # the session's lifetime — leave it off.
+        # The capture path is the channel receiver's queue on every
+        # transport (collect_received).
         channel_receiver = self.channel.join(receiver_name,
                                              distance_m=initial_distance_m,
-                                             seed=seed,
-                                             queue_payloads=not self._simulated)
-        #: The receiving end used for loss observation and capture: the
-        #: simulated WirelessReceiver under inproc (stats, move_to), the
-        #: transport receiver otherwise.
+                                             seed=seed)
+        #: The receiving end used for loss observation: the simulated
+        #: WirelessReceiver under inproc (stats, move_to), the transport
+        #: receiver otherwise.
         self.receiver = getattr(channel_receiver, "wireless", channel_receiver)
         self.channel_receiver = channel_receiver
         self.audio_receiver = WirelessAudioReceiver(receiver_name)
@@ -185,7 +183,7 @@ class AdaptiveAudioSession:
 
     def collect_received(self) -> None:
         """Feed everything captured by the wireless receiver to the decoder."""
-        self.audio_receiver.process(self.receiver.take())
+        self.audio_receiver.process(self.channel_receiver.take())
 
     def finish(self, timeout: float = 30.0) -> None:
         """End the stream, drain the chain, and flush FEC state."""

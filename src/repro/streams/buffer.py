@@ -36,8 +36,9 @@ Data-path design (the hot path of every chain hop):
   queued by reference, and downstream readers may alias it).  Readers
   receive either the writer's object or a read-only view of it and must
   treat it as immutable; see ``docs/ARCHITECTURE.md``.
-* **Batch APIs.**  :meth:`write_chunks` queues the batch it was given *as
-  a batch* — the buffer's own copy of the list, measured once — and
+* **Batch APIs.**  :meth:`write_chunks` is the one write path (``write``
+  is a batch of one).  It queues the batch it was given *as a batch* —
+  the buffer's own copy of the list, measured once — and
   :meth:`read_chunks` hands whole batches back as lists while they fit the
   byte budget, so a hop costs per hand-over, not per chunk.  A batch is
   opened chunk by chunk only for what is left of a budget, for ``read``,
@@ -175,127 +176,100 @@ class StreamBuffer:
 
     def write(self, data: bytes, timeout: Optional[float] = None,
               force: bool = False) -> int:
-        """Append ``data``, blocking while the buffer is full.
-
-        Returns the number of bytes written (always ``len(data)`` unless the
-        data is empty).  Raises :class:`StreamClosedError` if the buffer was
-        closed for writing, :class:`BrokenStreamError` if the reader side
-        was torn down, and :class:`StreamTimeoutError` on timeout.
-
-        A bytes-like payload (``bytes``, ``bytearray``, ``memoryview``)
-        is queued by reference — no copy is made; it becomes the unit an
-        aligned read pops back out, and the writer must not mutate it
-        afterwards.  It is never split: on a bounded buffer it waits until
-        it fits or the buffer is empty, then lands whole.
-
-        With ``force=True`` the capacity bound is ignored and the call never
-        blocks: the bytes are appended even if the buffer overshoots its
-        capacity.  Cooperative schedulers use this so a pump step can never
-        deadlock on a full pipe; they bound memory with high-water-mark
-        scheduling instead of blocking (see :mod:`repro.runtime.event`).
-        """
-        if not data:
-            return 0
-        if not isinstance(data, _BYTES_LIKE):
-            data = bytes(data)
-        with self._lock:
-            return self._write_locked(data, timeout, force)
+        """Append one chunk: a batch of one (see :meth:`write_chunks`)."""
+        return self.write_chunks((data,), timeout, force)
 
     def write_chunks(self, chunks: Iterable[bytes], timeout: Optional[float] = None,
                      force: bool = False, nbytes: Optional[int] = None) -> int:
-        """Append many chunks under a single lock acquisition.
+        """Append a batch of chunks, blocking while the buffer is full.
+
+        Returns the total bytes written.  Raises :class:`StreamClosedError`
+        if the buffer was closed for writing, :class:`BrokenStreamError` if
+        the reader side was torn down, and :class:`StreamTimeoutError` on
+        timeout.
 
         The batch is queued *as a batch*: the buffer keeps its own copy of
-        the list (the writer may reuse or mutate its list afterwards; the
-        chunks themselves are handed over by reference, as with
-        :meth:`write`), and :meth:`read_chunks` hands it back whole.  On a
-        bounded buffer a batch that does not fit yet waits for room and
-        lands whole; one larger than the whole buffer goes in chunk by
-        chunk, each as :meth:`write` queues it.  Timeout,
-        closed and broken semantics are those of :meth:`write`.  Returns
-        the total bytes written.
+        the list (the writer may reuse or mutate its list afterwards), and
+        :meth:`read_chunks` hands it back whole.  Bytes-like chunks
+        (``bytes``, ``bytearray``, ``memoryview``) are queued by reference —
+        no copy is made; each becomes a unit an aligned read pops back out,
+        and the writer must not mutate it afterwards.  Empty chunks are
+        dropped.  On a bounded buffer a batch waits until it fits, or —
+        a single chunk — until the buffer is empty, and lands whole; a
+        batch larger than the whole buffer, or one holding anything but
+        ``bytes``, ``bytearray`` and ``memoryview`` objects (materialised
+        once here), goes in as batches of one.
+
+        With ``force=True`` the capacity bound is ignored and the call never
+        blocks: the batch is appended even if the buffer overshoots its
+        capacity.  Cooperative schedulers use this so a pump step can never
+        deadlock on a full pipe; they bound memory with high-water-mark
+        scheduling instead of blocking (see :mod:`repro.runtime.event`).
 
         ``nbytes`` is the batch's byte total when the caller already knows
         it because the batch was read whole out of a buffer: such chunks
         are non-empty and bytes-like by construction, so the batch is not
         screened or measured again.
         """
-        if not isinstance(chunks, (list, tuple)):
-            chunks = list(chunks)
-        with self._lock:
-            # One type pass and one length pass serve the byte total, the
-            # capacity test and the accounting — unless the caller counted.
-            # A batch that doesn't fit yet *waits for room and retries
-            # whole* rather than dribbling in chunk by chunk: the downstream
-            # reader drains in batches, so room arrives in batch-sized
-            # steps too.
-            if nbytes is not None:
-                batch_bytes = nbytes
-            elif chunks and _BYTES_LIKE_TYPES.issuperset(map(type, chunks)):
-                batch_bytes = sum(map(len, chunks))
+        piecewise = False
+        if nbytes is None:
+            if not isinstance(chunks, (list, tuple)):
+                chunks = list(chunks)
+            if len(chunks) == 1 and type(chunks[0]) in _BYTES_LIKE_TYPES:
+                nbytes = len(chunks[0])  # a batch of one: nothing to screen
             else:
-                batch_bytes = 0  # mixed batch: per-chunk slow path below
-            while batch_bytes:
+                if not _BYTES_LIKE_TYPES.issuperset(map(type, chunks)):
+                    # A mixed batch is materialised and goes in chunk by
+                    # chunk.
+                    piecewise = True
+                    chunks = [data if isinstance(data, _BYTES_LIKE)
+                              else bytes(data) for data in chunks]
+                nbytes = sum(map(len, chunks))
+                if not all(chunks):
+                    # Empty chunks must never be queued (an empty head
+                    # reads back as a spurious EOF).
+                    chunks = [data for data in chunks if data]
+            if not nbytes:
+                return 0
+        if len(chunks) > 1 and (piecewise or (
+                self._capacity is not None and not force
+                and nbytes > self._capacity)):
+            # Mixed, or can never fit whole: one chunk at a time, each a
+            # batch.
+            return sum(self.write_chunks((data,), timeout, force, len(data))
+                       for data in chunks)
+        with self._lock:
+            while True:
                 if self._broken:
                     raise BrokenStreamError(f"{self._name}: reader side is gone")
                 if self._eof:
                     raise StreamClosedError(
                         f"{self._name}: buffer closed for writing")
-                if (self._capacity is None or force
-                        or self._size + batch_bytes <= self._capacity):
-                    # Empty chunks must never be queued (an empty head
-                    # reads back as a spurious EOF).
-                    batch = (list(chunks) if nbytes is not None or all(chunks)
-                             else [data for data in chunks if data])
-                    self._marks.append(self._bytes_in)
-                    self._batches.append(batch)
-                    self._tail = batch
-                    self._size += batch_bytes
-                    self._bytes_in += batch_bytes
-                    if self._readers:
-                        self._readers.popleft().release()
-                    if self._writers and (
-                            self._capacity is None
-                            or self._size < self._capacity):
-                        self._writers.popleft().release()
-                    return batch_bytes
-                if batch_bytes > self._capacity:
-                    break  # can never fit whole; chunk by chunk below
+                if (force or self._capacity is None or not self._size
+                        or self._size + nbytes <= self._capacity):
+                    break
+                # A batch that doesn't fit yet waits for room and retries
+                # whole rather than dribbling in chunk by chunk: the
+                # downstream reader drains in batches, so room arrives in
+                # batch-sized steps too.
                 self._wait_for_room_locked(timeout)
-            total = 0
-            for data in chunks:
-                if not data:
-                    continue
-                if not isinstance(data, _BYTES_LIKE):
-                    data = bytes(data)
-                total += self._write_locked(data, timeout, force)
-            return total
-
-    def _write_locked(self, data: bytes, timeout: Optional[float],
-                      force: bool) -> int:
-        """Queue one bytes-like payload whole, once it fits or the buffer
-        is empty; caller holds the lock."""
-        size = len(data)
-        while True:
-            if self._broken:
-                raise BrokenStreamError(f"{self._name}: reader side is gone")
-            if self._eof:
-                raise StreamClosedError(f"{self._name}: buffer closed for writing")
-            if (force or self._capacity is None or not self._size
-                    or self._size + size <= self._capacity):
-                break
-            self._wait_for_room_locked(timeout)
-        self._tail.append(data)  # the caller's object, no copy
-        self._size += size
-        self._bytes_in += size
-        if self._readers:
-            self._readers.popleft().release()
-        if self._writers and (
-                self._capacity is None or self._size < self._capacity):
-            # Chained wake: room remains and another writer is parked (the
-            # read-side wake frees only one writer at a time).
-            self._writers.popleft().release()
-        return size
+            if len(chunks) == 1:
+                self._tail.append(chunks[0])  # the caller's object, no copy
+            else:
+                batch = list(chunks)
+                self._marks.append(self._bytes_in)
+                self._batches.append(batch)
+                self._tail = batch
+            self._size += nbytes
+            self._bytes_in += nbytes
+            if self._readers:
+                self._readers.popleft().release()
+            if self._writers and (
+                    self._capacity is None or self._size < self._capacity):
+                # Chained wake: room remains and another writer is parked
+                # (the read-side wake frees only one writer at a time).
+                self._writers.popleft().release()
+            return nbytes
 
     def close_for_writing(self) -> None:
         """Mark end-of-stream.  Readers drain remaining data, then see EOF;

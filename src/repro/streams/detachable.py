@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import threading
 from time import monotonic as _monotonic
-from typing import Callable, Iterable, List, Optional
+from typing import Callable, Iterable, List, Optional, Tuple
 
 from .buffer import DEFAULT_CAPACITY, StreamBuffer
 from .exceptions import (
@@ -88,35 +88,42 @@ def _any_payload(batch) -> bool:
         return True
 
 
-class _ListenerMixin:
-    """Shared subscribe/unsubscribe plumbing for both stream halves."""
+class ListenerMixin:
+    """subscribe/unsubscribe hooks for zero-argument readiness listeners.
 
-    _listeners: List[StreamListener]
+    The one listener plumbing of the detachable streams, the transport
+    receivers (:class:`repro.transport.base.DatagramReceiver`) and the
+    ingress endpoints.  Listeners must be fast and must not call back into
+    their subject; they are fired outside its internal locks, on whatever
+    thread caused the event, so a listener observes the post-event state
+    but may race with further events.  A listener that raises does not stop
+    the others.  The listener tuple is replaced, never mutated, so a fire
+    iterates a snapshot without copying it; one lock for every subject
+    orders the (rare) replacements.
+    """
+
+    _listeners: Tuple[StreamListener, ...] = ()
+    _listeners_lock = threading.Lock()
 
     def subscribe(self, listener: StreamListener) -> None:
-        """Register ``listener`` to be called on stream events.
-
-        Listeners must be fast and must not call back into the stream; they
-        are fired outside the stream's internal lock, so a listener observes
-        the post-event state but may race with further events.  Registering
-        the same listener twice is a no-op.
-        """
+        """Register ``listener`` (registering it twice is a no-op)."""
         if listener is None:
             raise ValueError("listener must be callable, not None")
         # Equality, not identity: each `obj.method` access creates a fresh
         # bound-method object, and bound methods compare equal by (func,
         # self) — the semantics re-subscription and unsubscribe need.
-        if listener not in self._listeners:
-            self._listeners.append(listener)
+        with self._listeners_lock:
+            if listener not in self._listeners:
+                self._listeners = (*self._listeners, listener)
 
     def unsubscribe(self, listener: StreamListener) -> None:
         """Remove a previously registered listener (missing is a no-op)."""
-        self._listeners = [cb for cb in self._listeners if cb != listener]
+        with self._listeners_lock:
+            self._listeners = tuple(
+                cb for cb in self._listeners if cb != listener)
 
     def _fire_listeners(self) -> None:
-        if not self._listeners:
-            return  # keep the unsubscribed (threaded-engine) path free
-        for listener in list(self._listeners):
+        for listener in self._listeners:
             try:
                 listener()
             except Exception:  # noqa: BLE001 - listeners must not break the pipe
@@ -140,7 +147,7 @@ def _next_id() -> int:
         return _counter
 
 
-class DetachableOutputStream(_ListenerMixin):
+class DetachableOutputStream(ListenerMixin):
     """The writing half of a detachable stream connection.
 
     Data written here is delivered to the connected
@@ -167,7 +174,6 @@ class DetachableOutputStream(_ListenerMixin):
         self._closed = False
         self._reconnect_wait = reconnect_wait
         self._bytes_written = 0
-        self._listeners: List[StreamListener] = []
 
     # ------------------------------------------------------------ properties
 
@@ -472,7 +478,7 @@ class DetachableOutputStream(_ListenerMixin):
         return f"<DetachableOutputStream {self.name} {state}>"
 
 
-class DetachableInputStream(_ListenerMixin):
+class DetachableInputStream(ListenerMixin):
     """The reading half of a detachable stream connection.
 
     All data is buffered here (on the DIS side, as in the paper and in the
@@ -498,7 +504,6 @@ class DetachableInputStream(_ListenerMixin):
         self._switching = False
         self._closed = False
         self._source_closed = False
-        self._listeners: List[StreamListener] = []
         # The hop's conversion (None: chunks land as they are), chosen on
         # every attach; the decoder of a byte writer's frames is kept across
         # reattaches, so a byte stream resumed mid-frame still completes it.

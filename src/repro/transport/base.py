@@ -45,6 +45,7 @@ from typing import Callable, Deque, List, Optional, Tuple, Union
 
 from ..obs.metrics import register_channel as _obs_register_channel
 from ..registry import Registry
+from ..streams.detachable import ListenerMixin
 
 #: Environment variable consulted by :func:`get_transport` when no explicit
 #: transport is requested.
@@ -71,7 +72,7 @@ ReceiverListener = Callable[[], None]
 DeliveryCallback = Callable[[bytes], None]
 
 
-class DatagramReceiver(ABC):
+class DatagramReceiver(ListenerMixin, ABC):
     """One member's receiving end of a datagram channel.
 
     The host-facing API mirrors :class:`repro.net.wlan.WirelessReceiver`
@@ -99,40 +100,18 @@ class DatagramReceiver(ABC):
         self._cond = threading.Condition()
         self._eof = False
         self._closed = False
-        self._listeners: List[ReceiverListener] = []
 
     # -- delivery (transport-facing) ------------------------------------------
 
-    def _deliver(self, payload: bytes, notify: bool = True) -> None:
-        """Queue one arrived payload and fire the readiness hooks.
-
-        ``notify=False`` skips the listeners: for receivers whose payloads
-        only ever "arrive" inside the consumer's own drain (UDP), where the
-        hook would tell the consumer what it is in the middle of finding
-        out — and cost it another look.
-        """
-        with self._cond:
-            if self._closed:
-                return
-            if self.queue_payloads:
-                self._queue.append(payload)
-            self.packets_received += 1
-            self.bytes_received += len(payload)
-            self._cond.notify_all()
-        if self.on_receive is not None:
-            try:
-                self.on_receive(payload)
-            except Exception:  # noqa: BLE001 - receiver faults must not spread
-                pass
-        if notify:
-            self._fire_listeners()
-
-    def _deliver_many(self, payloads: List[bytes]) -> None:
-        """Queue a batch of arrived payloads, in order.
+    def _deliver_many(self, payloads, notify: bool = True) -> None:
+        """Queue a batch of arrived payloads, in order; fire the hooks once.
 
         One condition acquire, one queue extend and one listener fire for
-        the batch; counters and ``on_receive`` (still called per payload)
-        are as a loop of :meth:`_deliver` leaves them.
+        the batch; ``on_receive`` is still called per payload.  A single
+        arrival is a batch of one.  ``notify=False`` skips the listeners:
+        for receivers whose payloads only ever "arrive" inside the
+        consumer's own drain (UDP), where the hook would tell the consumer
+        what it is in the middle of finding out — and cost it another look.
         """
         with self._cond:
             if self._closed:
@@ -149,7 +128,8 @@ class DatagramReceiver(ABC):
                     on_receive(payload)
                 except Exception:  # noqa: BLE001 - receiver faults must not spread
                     pass
-        self._fire_listeners()
+        if notify:
+            self._fire_listeners()
 
     def _mark_eof(self) -> None:
         """Record that no further datagram will ever arrive (idempotent)."""
@@ -256,28 +236,6 @@ class DatagramReceiver(ABC):
     def closed(self) -> bool:
         """True once :meth:`close` has been called."""
         return self._closed
-
-    # -- readiness hooks -------------------------------------------------------
-
-    def subscribe(self, listener: ReceiverListener) -> None:
-        """Register a readiness listener (duplicate registrations dedupe)."""
-        if listener is None:
-            raise ValueError("listener must be callable, not None")
-        if listener not in self._listeners:
-            self._listeners.append(listener)
-
-    def unsubscribe(self, listener: ReceiverListener) -> None:
-        """Remove a previously registered listener (missing is a no-op)."""
-        self._listeners = [cb for cb in self._listeners if cb != listener]
-
-    def _fire_listeners(self) -> None:
-        if not self._listeners:
-            return
-        for listener in list(self._listeners):
-            try:
-                listener()
-            except Exception:  # noqa: BLE001 - listeners must not break delivery
-                pass
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<{type(self).__name__} {self.name} "

@@ -146,10 +146,6 @@ class TransportSink(SinkEndPoint):
         self.channel = channel
         self.close_channel_on_eof = close_channel_on_eof
 
-    def consume(self, data: bytes) -> None:
-        """Multicast one packet onto the channel."""
-        self.channel.send(data)
-
     def consume_many(self, items) -> None:
         """Multicast a whole batch through the channel's vectored send.
 

@@ -92,7 +92,8 @@ class InprocChannel(DatagramChannel):
                                       queue_payloads=queue_payloads)
             wireless = self.wlan.add_receiver(
                 member, distance_m=distance_m, loss_model=loss_model,
-                seed=seed, on_receive=receiver._deliver)
+                seed=seed,
+                on_receive=lambda payload: receiver._deliver_many((payload,)))
             receiver.wireless = wireless
             self._receivers[member] = receiver
             if self._closed:

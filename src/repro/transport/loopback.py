@@ -78,50 +78,44 @@ class LoopbackChannel(DatagramChannel):
         with self._lock:
             return list(self._receivers.values())
 
-    def send(self, data: bytes) -> int:
-        """Enqueue one datagram at every member; returns members targeted."""
-        data = bytes(data)
-        with self._lock:
-            if self._closed:
-                raise TransportError(f"channel {self.name!r}: send after close")
-            receivers = list(self._receivers.values())
-        self._account(len(data))
-        for receiver in receivers:
-            receiver._deliver(data)
-        return len(receivers)
+    def _enqueue(self, batch: List[bytes], member: Optional[str] = None) -> int:
+        """Deliver ``batch`` to every member, or to ``member``; count them.
 
-    def send_many(self, payloads) -> int:
-        """Enqueue a batch at every member; returns payloads delivered.
-
-        The membership is taken once and each member receives the batch
-        whole — one lock hold and one readiness notification per member,
-        in the order (and with the counters and the send-after-close
-        error) of a loop of :meth:`send`.
+        Returns the members reached.  The membership is taken once and
+        each member receives the batch in one lock hold with one readiness
+        notification.  A multicast is accounted even with no member to
+        reach; a unicast only when its member exists.
         """
-        batch = list(map(bytes, payloads))
-        if not batch:
-            return 0
         with self._lock:
             if self._closed:
                 raise TransportError(f"channel {self.name!r}: send after close")
-            receivers = list(self._receivers.values())
+            if member is None:
+                receivers = list(self._receivers.values())
+            else:
+                receiver = self._receivers.get(member)
+                if receiver is None:
+                    return 0
+                receivers = [receiver]
         self.packets_sent += len(batch)
         self.bytes_sent += sum(map(len, batch))
         for receiver in receivers:
             receiver._deliver_many(batch)
-        return len(batch) if receivers else 0
+        return len(receivers)
+
+    def send(self, data: bytes) -> int:
+        """Enqueue one datagram at every member; returns members targeted."""
+        return self._enqueue([bytes(data)])
+
+    def send_many(self, payloads) -> int:
+        """Enqueue a batch at every member; returns payloads delivered."""
+        batch = list(map(bytes, payloads))
+        if not batch:
+            return 0
+        return len(batch) if self._enqueue(batch) else 0
 
     def send_to(self, member: str, data: bytes) -> bool:
         """Enqueue one datagram at a single member; True when it exists."""
-        with self._lock:
-            if self._closed:
-                raise TransportError(f"channel {self.name!r}: send after close")
-            receiver = self._receivers.get(member)
-        if receiver is None:
-            return False
-        self._account(len(data))
-        receiver._deliver(bytes(data))
-        return True
+        return bool(self._enqueue([bytes(data)], member))
 
     def close(self) -> None:
         """End the stream: every member observes EOF after draining."""

@@ -134,8 +134,9 @@ class UdpReceiver(DatagramReceiver):
 
     # -- socket draining -------------------------------------------------------
 
-    def _parse_slot(self, buf: bytearray, nbytes: int) -> None:
-        """Frame-check one received datagram and queue its payload."""
+    def _parse_slot(self, buf: bytearray, nbytes: int,
+                    payloads: List[bytes]) -> None:
+        """Frame-check one datagram; its payload joins the drain's batch."""
         if nbytes < HEADER_SIZE:
             self.framing_errors += 1
             return
@@ -144,17 +145,17 @@ class UdpReceiver(DatagramReceiver):
             self.framing_errors += 1
             return
         if length == _EOS_LENGTH:
+            # End of stream comes after the payloads that preceded it.
+            self._deliver_many(payloads, notify=False)
+            payloads.clear()
             self._mark_eof()
             return
         if length != nbytes - HEADER_SIZE:
             self.framing_errors += 1
             return
         # Exact-size copy: the queued payload must outlive the ring slot,
-        # which is reused on the next lap.  No listener call: data
-        # readiness is the fd's business (selectable_fileno); the hooks
-        # carry EOF and close.
-        self._deliver(bytes(memoryview(buf)[HEADER_SIZE:nbytes]),
-                      notify=False)
+        # which is reused on the next lap.
+        payloads.append(bytes(memoryview(buf)[HEADER_SIZE:nbytes]))
 
     def _drain_socket(self) -> None:
         """Pull every kernel-buffered datagram into the receiver queue.
@@ -164,44 +165,51 @@ class UdpReceiver(DatagramReceiver):
         ``recvfrom_into`` otherwise — and are parsed in place, so the
         per-datagram cost is (a fraction of) one syscall plus one
         exact-size copy of the payload, instead of a 64 KiB allocation, a
-        resize, and a slice per datagram.
+        resize, and a slice per datagram.  What a drain parsed is queued
+        as one batch.  No listener call: data readiness is the fd's
+        business (selectable_fileno); the hooks carry EOF and close.
         """
         ring = self._ring
         if ring is None:
             ring = self._ring = _vectored.RecvRing(_RING_SLOTS,
                                                    _RING_SLOT_SIZE)
         buffers = ring.buffers
-        while self._vectored_recv:
-            # Batch path: every payload is copied out by _parse_slot before
-            # the next call reuses the ring.
-            self.receive_syscalls += 1
-            lengths, error = ring.recv(self._socket)
-            for slot, nbytes in enumerate(lengths):
-                self._parse_slot(buffers[slot], nbytes)
-            if error is not None:
-                if error.errno in _vectored.DISABLE_ERRNOS:
-                    # recvmmsg can never work here; stop paying for the
-                    # doomed syscall and drain per-datagram from now on.
-                    self._vectored_recv = False
-                    break
-                # Transient, or the socket was closed under us (EBADF; EOF
-                # state already recorded): what remains waits for the next
-                # drain.
-                return
-            if len(lengths) < _RING_SLOTS:
-                return  # kernel queue drained
-        while True:
-            buf = buffers[self._ring_index]
-            self.receive_syscalls += 1
-            try:
-                nbytes, _sender = self._socket.recvfrom_into(
-                    buf, _RING_SLOT_SIZE)
-            except (BlockingIOError, InterruptedError):
-                return
-            except OSError:
-                return  # socket closed under us: EOF state already recorded
-            self._ring_index = (self._ring_index + 1) % _RING_SLOTS
-            self._parse_slot(buf, nbytes)
+        payloads: List[bytes] = []
+        try:
+            while self._vectored_recv:
+                # Batch path: every payload is copied out by _parse_slot
+                # before the next call reuses the ring.
+                self.receive_syscalls += 1
+                lengths, error = ring.recv(self._socket)
+                for slot, nbytes in enumerate(lengths):
+                    self._parse_slot(buffers[slot], nbytes, payloads)
+                if error is not None:
+                    if error.errno in _vectored.DISABLE_ERRNOS:
+                        # recvmmsg can never work here; stop paying for the
+                        # doomed syscall and drain per-datagram from now on.
+                        self._vectored_recv = False
+                        break
+                    # Transient, or the socket was closed under us (EBADF;
+                    # EOF state already recorded): what remains waits for
+                    # the next drain.
+                    return
+                if len(lengths) < _RING_SLOTS:
+                    return  # kernel queue drained
+            while True:
+                buf = buffers[self._ring_index]
+                self.receive_syscalls += 1
+                try:
+                    nbytes, _sender = self._socket.recvfrom_into(
+                        buf, _RING_SLOT_SIZE)
+                except (BlockingIOError, InterruptedError):
+                    return
+                except OSError:
+                    return  # closed under us: EOF state already recorded
+                self._ring_index = (self._ring_index + 1) % _RING_SLOTS
+                self._parse_slot(buf, nbytes, payloads)
+        finally:
+            if payloads:
+                self._deliver_many(payloads, notify=False)
 
     # -- host-facing API -------------------------------------------------------
     #
@@ -425,38 +433,26 @@ class UdpChannel(DatagramChannel):
         with self._lock:
             return list(self._members.values())
 
-    def _transmit(self, wire: bytes, destinations: List[UdpAddress]) -> int:
-        sent = 0
-        for address in destinations:
-            try:
-                self._send_socket.sendto(wire, address)
-                sent += 1
-            except OSError as exc:
-                # An unreachable member must not break the others, but the
-                # drop is observable: counted for /metrics and logged as a
-                # structured event for post-hoc diagnosis.
-                self.send_errors += 1
-                get_event_log().emit(
-                    EVENT_TRANSPORT_ERROR, stream=self.name,
-                    transport="udp", address=f"{address[0]}:{address[1]}",
-                    error=str(exc))
-                continue
-        return sent
-
-    def _transmit_many(self, wires: List[bytes],
-                       destinations: List[UdpAddress]) -> List[int]:
+    def _transmit(self, wires: List[bytes],
+                  destinations: List[UdpAddress]) -> List[int]:
         """Transmit every wire frame to every destination, batched.
 
-        Returns, per frame, the number of destinations reached.  The
-        vectored path reports how many leading frames the kernel accepted
-        before an error, so the ``sendto`` fallback resumes exactly there —
-        a frame is never put on the wire twice (UDP has no dedupe, and a
-        duplicated datagram would corrupt a raw byte stream downstream).
+        Returns, per frame, the number of destinations reached.  Each
+        destination's frames leave in ``sendmmsg`` syscalls where the
+        platform has them.  The per-datagram ``sendto`` loop takes what
+        the vectored path does not: a single frame (one ``sendto`` is
+        cheaper than a one-message ``sendmmsg`` through ctypes), the tail
+        of a batch after an error, and everything where ``sendmmsg`` is
+        absent.  The vectored path reports how many leading frames the
+        kernel accepted before an error, so the loop resumes exactly
+        there: a frame is never put on the wire twice (UDP has no dedupe,
+        and a duplicated datagram would corrupt a raw byte stream
+        downstream).
         """
         reached = [0] * len(wires)
         for address in destinations:
             start = 0
-            if self._vectored:
+            if self._vectored and len(wires) > 1:
                 pool = self._send_pool
                 if pool is None:
                     pool = self._send_pool = _vectored.SendPool()
@@ -470,67 +466,71 @@ class UdpChannel(DatagramChannel):
                     self._vectored = False
                 # Transient errors (ENOBUFS, ECONNREFUSED, ...) fall through
                 # to the per-datagram loop for the unsent tail, which judges
-                # — and counts — each datagram exactly as send() would.
+                # — and counts — each datagram on its own.
             for i in range(start, len(wires)):
-                if self._transmit(wires[i], [address]):
+                try:
+                    self._send_socket.sendto(wires[i], address)
                     reached[i] += 1
+                except OSError as exc:
+                    # An unreachable member must not break the others, but
+                    # the drop is observable: counted for /metrics and
+                    # logged as a structured event for post-hoc diagnosis.
+                    self.send_errors += 1
+                    get_event_log().emit(
+                        EVENT_TRANSPORT_ERROR, stream=self.name,
+                        transport="udp", address=f"{address[0]}:{address[1]}",
+                        error=str(exc))
+        return reached
+
+    def _send(self, payloads, member: Optional[str] = None) -> List[int]:
+        """Frame and transmit ``payloads`` to every member, or to ``member``.
+
+        Returns, per payload, the members it reached.  A payload is
+        accounted when it reached at least one member, in payload bytes,
+        matching the inproc/loopback channels, so cross-transport
+        statistics (e.g. compression ratios) compare like with like;
+        framing overhead is a wire detail.
+        """
+        if self._closed:
+            raise TransportError(f"channel {self.name!r}: send after close")
+        if member is None:
+            destinations = self._destinations()
+        else:
+            if self.multicast_group is not None:
+                # Group members share one bound port (SO_REUSEADDR), so a
+                # unicast datagram would reach an arbitrary member — refuse
+                # loudly instead of delivering to the wrong host.
+                raise TransportError(
+                    f"channel {self.name!r}: send_to is unavailable in "
+                    "IP-multicast mode (members share the group port)")
+            with self._lock:
+                address = self._members.get(member)
+            if address is None:
+                return [0]
+            destinations = [address]
+        wires = [encode_datagram(payload) for payload in payloads]
+        if not wires:
+            return []
+        reached = self._transmit(wires, destinations)
+        for payload, count in zip(payloads, reached):
+            if count:
+                self._account(len(payload))
         return reached
 
     def send(self, data: bytes) -> int:
         """Transmit one framed datagram per member (or one, multicast)."""
-        if self._closed:
-            raise TransportError(f"channel {self.name!r}: send after close")
-        wire = encode_datagram(data)
-        destinations = self._destinations()
-        sent = self._transmit(wire, destinations)
-        if sent:
-            # Account payload bytes, matching the inproc/loopback channels,
-            # so cross-transport statistics (e.g. compression ratios)
-            # compare like with like; framing overhead is a wire detail.
-            self._account(len(data))
-        return sent
+        return self._send((data,))[0]
 
     def send_many(self, payloads) -> int:
         """Transmit many payloads, one framed datagram each, per member.
 
-        Equivalent to a loop of :meth:`send` — same framing, accounting and
-        error observability — but each member's datagrams leave in batched
-        ``sendmmsg`` syscalls where the platform has them.  Returns the
-        number of payloads delivered to at least one member.
+        Returns the number of payloads delivered to at least one member.
         """
-        if self._closed:
-            raise TransportError(f"channel {self.name!r}: send after close")
-        wires = [encode_datagram(payload) for payload in payloads]
-        if not wires:
-            return 0
-        reached = self._transmit_many(wires, self._destinations())
-        delivered = 0
-        for payload, count in zip(payloads, reached):
-            if count:
-                self._account(len(payload))
-                delivered += 1
-        return delivered
+        return sum(1 for count in self._send(payloads) if count)
 
     def send_to(self, member: str, data: bytes) -> bool:
         """Unicast one framed datagram to a member; True when sent."""
-        if self._closed:
-            raise TransportError(f"channel {self.name!r}: send after close")
-        if self.multicast_group is not None:
-            # Group members share one bound port (SO_REUSEADDR), so a
-            # unicast datagram would reach an arbitrary member — refuse
-            # loudly instead of delivering to the wrong host.
-            raise TransportError(
-                f"channel {self.name!r}: send_to is unavailable in "
-                "IP-multicast mode (members share the group port)")
-        with self._lock:
-            address = self._members.get(member)
-        if address is None:
-            return False
-        wire = encode_datagram(data)
-        if not self._transmit(wire, [address]):
-            return False
-        self._account(len(data))
-        return True
+        return bool(self._send((data,), member)[0])
 
     def close(self) -> None:
         """Send the EOS marker to every member and release the send socket.
@@ -545,7 +545,7 @@ class UdpChannel(DatagramChannel):
                 return
             super().close()
             receivers = list(self._receivers.values())
-        self._transmit(EOS_DATAGRAM, self._destinations())
+        self._transmit([EOS_DATAGRAM], self._destinations())
         for receiver in receivers:
             receiver._mark_eof()
         try:

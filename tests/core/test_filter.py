@@ -345,6 +345,29 @@ class TestPacketFilter:
         assert snap["packets_in"] == 3
         assert snap["packets_out"] == 6
 
+    def test_a_packet_raising_mid_batch_counts_only_what_was_seen(self):
+        """Packet 3 of a batch of 8 raises: the input stats count the three
+        packets the transform saw, and the outputs of the two before it
+        still go downstream (per-packet stats, one batch)."""
+
+        class ThirdPacketFails(PacketFilter):
+            def transform_packet(self, packet):
+                if packet == b"p2":
+                    raise ValueError("packet 3 is bad")
+                return [packet, packet + b"!"] if packet == b"p0" else packet
+
+        f = ThirdPacketFails()
+        up, down = self._wire(f)
+        up.write_many([b"p%d" % i for i in range(8)])  # one batch
+        f.start()
+        f.wait_finished(timeout=5.0)
+        assert _read_all(down) == [b"p0", b"p0!", b"p1"]
+        assert isinstance(f.error, ValueError)
+        assert f.stats.snapshot() == {
+            "chunks_in": 6, "chunks_out": 6, "bytes_in": 6, "bytes_out": 7,
+            "packets_in": 3, "packets_out": 3, "errors": 1,
+            "budget_exhausted": 0}
+
     def test_frames_split_across_chunks_are_reassembled(self):
         f = PacketFilter(chunk_size=3)  # force tiny reads
         from repro.streams import DetachableInputStream, DetachableOutputStream

@@ -269,8 +269,7 @@ class TestDecoderCore:
         damaged[3] ^= 0xFF  # the k byte, as corrupt_p does at offset % len 3
         wire[offender] = bytes(damaged)
 
-        per_packet = FecDecoderFilter()
-        per_packet.fused_packet_batch = False
+        per_packet = FecTap()
         fused = FecDecoderFilter()
         results = []
         for decoder in (per_packet, fused):
@@ -285,9 +284,15 @@ class TestDecoderCore:
 
 
 class FecTap(FecDecoderFilter):
-    """Per-packet twin of the fused decoder filter."""
+    """Per-packet twin of the fused decoder filter: the calls a per-packet
+    pump made, one ``transform_packets([p], outputs)`` per packet."""
 
-    fused_packet_batch = False
+    def transform_packets(self, packets, outputs=None):
+        if outputs is None:
+            outputs = []
+        for packet in packets:
+            super().transform_packets([packet], outputs)
+        return outputs
 
 
 @pytest.mark.parametrize("engine", ENGINES)

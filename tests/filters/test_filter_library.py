@@ -71,15 +71,15 @@ class TestSimpleFilters:
 class TestFecFilters:
     def test_encoder_emits_groups(self):
         encoder = FecEncoderFilter(k=2, n=3)
-        assert encoder.transform_packet(b"p0") == []
-        group = encoder.transform_packet(b"p1")
+        assert encoder.transform_packets([b"p0"]) == []
+        group = encoder.transform_packets([b"p1"])
         assert len(group) == 3
         parsed = [FecPacket.unpack(p) for p in group]
         assert [p.index for p in parsed] == [0, 1, 2]
 
     def test_encoder_flush_emits_uncoded_tail(self):
         encoder = FecEncoderFilter(k=4, n=6)
-        encoder.transform_packet(b"only one")
+        encoder.transform_packets([b"only one"])
         tail = encoder.finalize_packets()
         assert len(tail) == 1
         assert FecPacket.unpack(tail[0]).is_uncoded
@@ -90,10 +90,10 @@ class TestFecFilters:
         payloads = [f"payload-{i}".encode() for i in range(8)]
         encoded = []
         for payload in payloads:
-            encoded.extend(encoder.transform_packet(payload))
+            encoded.extend(encoder.transform_packets([payload]))
         out = []
         for packet in encoded:
-            out.extend(decoder.transform_packet(packet) or [])
+            out.extend(decoder.transform_packets([packet]) or [])
         out.extend(decoder.finalize_packets() or [])
         assert out == payloads
 
@@ -103,28 +103,40 @@ class TestFecFilters:
         payloads = [f"pkt-{i}".encode() for i in range(4)]
         encoded = []
         for payload in payloads:
-            encoded.extend(encoder.transform_packet(payload))
+            encoded.extend(encoder.transform_packets([payload]))
         # lose two of the six encoded packets
         survivors = [p for i, p in enumerate(encoded) if i not in (1, 4)]
         out = []
         for packet in survivors:
-            out.extend(decoder.transform_packet(packet) or [])
+            out.extend(decoder.transform_packets([packet]) or [])
         assert out == payloads
         assert decoder.decoder_stats.groups_repaired == 1
 
     def test_decoder_passthrough_of_non_fec_packets(self):
         decoder = FecDecoderFilter(passthrough_unknown=True)
-        assert decoder.transform_packet(b"not fec at all") == [b"not fec at all"]
+        assert decoder.transform_packets([b"not fec at all"]) == [b"not fec at all"]
         assert decoder.unknown_packets == 1
         strict = FecDecoderFilter(passthrough_unknown=False)
-        assert strict.transform_packet(b"not fec at all") == []
+        assert strict.transform_packets([b"not fec at all"]) == []
 
     def test_two_encoders_use_distinct_group_ids(self):
         first = FecEncoderFilter(k=1, n=1)
         second = FecEncoderFilter(k=1, n=1)
-        id_a = FecPacket.unpack(first.transform_packet(b"x")[0]).group_id
-        id_b = FecPacket.unpack(second.transform_packet(b"x")[0]).group_id
+        id_a = FecPacket.unpack(first.transform_packets([b"x"])[0]).group_id
+        id_b = FecPacket.unpack(second.transform_packets([b"x"])[0]).group_id
         assert id_a != id_b
+
+    def test_every_group_id_base_leaves_2_31_ids_of_headroom(self):
+        from repro.filters import fec_filters
+
+        # Bases wrap every 2048 encoders: one lap reaches the largest.
+        bases = {fec_filters._allocate_group_id_base() for _ in range(2048)}
+        assert max(bases) == (1 << 31) - (1 << 20)
+        # An encoder at the largest base, 2^20 groups in, still encodes.
+        past = max(bases) + (1 << 20)
+        encoder = FecEncoderFilter(k=1, n=2, start_group_id=past)
+        group = encoder.transform_packets([b"x"])
+        assert [FecPacket.unpack(p).group_id for p in group] == [past, past]
 
     def test_describe_includes_fec_details(self):
         encoder = FecEncoderFilter(k=4, n=6)

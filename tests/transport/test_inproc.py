@@ -39,6 +39,23 @@ class TestInprocChannel:
         assert run(11) == run(11)
         assert run(11) != run(12)  # different seed, different losses
 
+    def test_members_keep_no_second_copy(self):
+        """The simulated receiver hands each payload to the channel
+        receiver and keeps none itself; a callback-only member keeps none
+        at all."""
+        channel = InprocChannel("w", seed=1)
+        queued = channel.join("queued", distance_m=10.0)
+        seen = []
+        callback = channel.join("callback", distance_m=10.0,
+                                queue_payloads=False, on_receive=seen.append)
+        for i in range(500):
+            channel.send(b"%d" % i)
+        assert callback.pending() == 0
+        assert callback.wireless.pending() == 0
+        assert len(seen) == callback.packets_received > 0
+        assert queued.wireless.pending() == 0
+        assert queued.pending() == queued.packets_received > 0
+
     def test_distance_and_move(self):
         channel = InprocChannel("wlan")
         receiver = channel.join("walker", distance_m=5.0, seed=3)
