@@ -13,11 +13,11 @@ from __future__ import annotations
 import pytest
 
 from repro.net import (
-    AccessPoint,
     CALIBRATION_LOSS,
     DistanceLoss,
     loss_probability_at_distance,
 )
+from repro.transport import InprocChannel
 
 from benchutil import format_row, write_table
 
@@ -27,12 +27,13 @@ PACKETS_PER_POINT = 20000
 
 def measure_loss_at(distance_m: float, packets: int = PACKETS_PER_POINT,
                     seed: int = 17) -> float:
-    ap = AccessPoint()
-    ap.add_receiver("probe", loss_model=DistanceLoss(distance_m, seed=seed))
+    channel = InprocChannel("e4")
+    probe = channel.join("probe", loss_model=DistanceLoss(distance_m, seed=seed),
+                         queue_payloads=False)
     payload = b"\x00" * 500
     for _ in range(packets):
-        ap.multicast(payload)
-    return ap.receiver("probe").stats.loss_ratio
+        channel.send(payload)
+    return probe.stats.loss_ratio
 
 
 def test_e4_loss_vs_distance_sweep(benchmark):

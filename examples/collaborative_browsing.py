@@ -52,7 +52,7 @@ def main() -> None:
                   f"bytes={summary['bytes']:7}  over-air={summary['over_air_bytes']:7}")
         print()
         original = session.wired_bytes_delivered
-        over_air = session.wlan.access_point.bytes_sent
+        over_air = session.channel.bytes_sent
         print(f"content bytes multicast on the wired LAN : {original}")
         print(f"bytes transmitted on the wireless LAN    : {over_air} "
               f"({100 * session.wireless_compression_ratio():.0f}% of original — "

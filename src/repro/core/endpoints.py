@@ -417,7 +417,7 @@ class CollectorSink(SinkEndPoint):
 
 
 class CallableSink(SinkEndPoint):
-    """Delivers each chunk/packet to a callback (e.g. ``WirelessLAN.send``)."""
+    """Delivers each chunk/packet to a callback (e.g. ``DatagramChannel.send``)."""
 
     type_name = "callable-sink"
 

@@ -1,10 +1,12 @@
-"""Network substrate: loss models, wireless/wired LAN simulation, traces.
+"""Network substrate: loss models, mobility, multicast groups, traces.
 
-The paper's evaluation ran on a real 2 Mbps WaveLAN; this package provides
-the simulated replacement — calibrated distance-based loss, bursty
-Gilbert–Elliott loss, an access point with independent per-receiver losses,
-a reliable wired LAN, generic multicast groups, and packet traces/statistics
-including the Figure 7 windowing.
+The paper's evaluation ran on a real 2 Mbps WaveLAN; this package holds the
+data of its simulated replacement — calibrated distance-based loss, bursty
+Gilbert–Elliott loss, a straight-line walk, the WaveLAN constants, generic
+multicast groups, and packet traces/statistics including the Figure 7
+windowing.  The wireless segment itself, an access point with independent
+per-receiver losses, is the inproc transport's
+:class:`~repro.transport.inproc.InprocChannel`.
 """
 
 from .arq import (
@@ -17,10 +19,13 @@ from .arq import (
 from .channel import (
     CALIBRATION_DISTANCE_M,
     CALIBRATION_LOSS,
+    PER_PACKET_OVERHEAD_S,
+    WAVELAN_BANDWIDTH_BPS,
     BernoulliLoss,
     DistanceLoss,
     FixedPatternLoss,
     GilbertElliottLoss,
+    LinearWalk,
     LossModel,
     NoLoss,
     loss_probability_at_distance,
@@ -42,16 +47,6 @@ from .trace import (
     PacketTrace,
     TraceEvent,
 )
-from .wired import WIRED_BANDWIDTH_BPS, WiredHost, WiredLAN
-from .wlan import (
-    PER_PACKET_OVERHEAD_S,
-    WAVELAN_BANDWIDTH_BPS,
-    AccessPoint,
-    LinearWalk,
-    TransmissionRecord,
-    WirelessLAN,
-    WirelessReceiver,
-)
 
 __all__ = [
     "ArqResult",
@@ -68,16 +63,9 @@ __all__ = [
     "loss_probability_at_distance",
     "CALIBRATION_DISTANCE_M",
     "CALIBRATION_LOSS",
-    "AccessPoint",
-    "WirelessLAN",
-    "WirelessReceiver",
-    "TransmissionRecord",
     "LinearWalk",
     "WAVELAN_BANDWIDTH_BPS",
     "PER_PACKET_OVERHEAD_S",
-    "WiredLAN",
-    "WiredHost",
-    "WIRED_BANDWIDTH_BPS",
     "MulticastGroup",
     "SubscriberRecord",
     "ReceiverStats",

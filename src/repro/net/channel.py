@@ -1,4 +1,4 @@
-"""Packet loss models for the simulated wireless channel.
+"""Packet loss models and mobility for the simulated wireless channel.
 
 The paper's experiments ran on a 2 Mbps WaveLAN network where "packet loss
 rate can change dramatically over a distance of several meters"; the
@@ -14,14 +14,24 @@ module provides the loss processes used in its place:
   distance from the access point, calibrated so that 25 m gives the paper's
   measured ~1.46% loss and so that loss rises steeply beyond ~35 m.
 
-All models are seeded and therefore reproducible.
+All models are seeded and therefore reproducible.  :class:`LinearWalk` moves
+a receiver away from the access point over time, and the WaveLAN constants
+size the airtime the inproc channel accounts.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from typing import Optional
+from dataclasses import dataclass
+from typing import List, Optional
+
+#: Raw bandwidth of the paper's WaveLAN network.
+WAVELAN_BANDWIDTH_BPS = 2_000_000
+
+#: Fixed per-packet channel time (preamble, MAC framing, inter-frame gaps),
+#: a rough 802.11/WaveLAN figure used only for utilisation accounting.
+PER_PACKET_OVERHEAD_S = 0.0006
 
 #: Calibration anchors for :func:`loss_probability_at_distance`.
 CALIBRATION_DISTANCE_M = 25.0
@@ -206,3 +216,39 @@ class FixedPatternLoss(LossModel):
 
     def reset(self) -> None:
         self._position = 0
+
+
+@dataclass(frozen=True)
+class LinearWalk:
+    """A straight-line mobility trace: distance grows linearly with time.
+
+    Models the paper's Section 3 scenario — "the user ... moves from her
+    office (near the access point) to a conference room down the hall".
+    """
+
+    start_distance_m: float = 5.0
+    end_distance_m: float = 40.0
+    duration_s: float = 60.0
+
+    def distance_at(self, t: float) -> float:
+        """Distance from the access point at time ``t`` seconds."""
+        if self.duration_s <= 0:
+            return self.end_distance_m
+        if t <= 0:
+            return self.start_distance_m
+        if t >= self.duration_s:
+            return self.end_distance_m
+        fraction = t / self.duration_s
+        return (self.start_distance_m
+                + fraction * (self.end_distance_m - self.start_distance_m))
+
+    def positions(self, step_s: float) -> List["tuple[float, float]"]:
+        """(time, distance) samples every ``step_s`` seconds."""
+        if step_s <= 0:
+            raise ValueError("step_s must be positive")
+        samples = []
+        t = 0.0
+        while t <= self.duration_s + 1e-9:
+            samples.append((round(t, 9), self.distance_at(t)))
+            t += step_s
+        return samples

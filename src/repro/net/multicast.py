@@ -5,7 +5,7 @@ over "a multicast protocol"; the RAPIDware event bus and the collaborative
 examples need the same primitive.  :class:`MulticastGroup` is a small,
 synchronous, in-process pub/sub channel with per-subscriber delivery
 counters; it intentionally has no loss model (lossy delivery belongs to
-:mod:`repro.net.wlan`).
+the inproc transport's simulated WLAN).
 """
 
 from __future__ import annotations

@@ -20,9 +20,9 @@ from typing import Dict, List, Optional
 
 from ..core import CallableSource, ControlThread, Proxy
 from ..filters import ZlibCompressFilter
-from ..net import MulticastGroup, WirelessLAN
+from ..net import MulticastGroup
 from ..proxies.transcoding_proxy import DeviceDescriptor
-from ..transport import TransportSink, open_wireless_channel
+from ..transport import InprocChannel, TransportSink
 from .browser import BrowserInterface, BrowseMessage, MESSAGE_CONTENT
 from .leadership import LeadershipProtocol
 from .resources import Resource, ResourceStore
@@ -58,7 +58,6 @@ class CollaborativeSession:
     """
 
     def __init__(self, store: Optional[ResourceStore] = None,
-                 wlan: Optional[WirelessLAN] = None,
                  compress_wireless: bool = True,
                  seed: int = 3,
                  engine=None,
@@ -80,10 +79,10 @@ class CollaborativeSession:
         self._wireless_enqueued = 0
         self.proxy = Proxy("pavilion-wireless-proxy", engine=engine,
                            transport=transport)
-        # Explicit ``wlan`` wins; otherwise the transport selection
-        # (argument / REPRO_TRANSPORT / default) decides, as for Proxy.
-        self.channel, self.wlan, self._simulated = open_wireless_channel(
-            self.proxy, "pavilion-wireless", wlan=wlan, seed=seed)
+        # The transport selection (argument / REPRO_TRANSPORT / default)
+        # decides the channel, as for Proxy; only inproc uses the seed.
+        self.channel = self.proxy.open_channel("pavilion-wireless", seed=seed)
+        self._simulated = isinstance(self.channel, InprocChannel)
         self._wireless_receivers: Dict[str, object] = {}
         self._source = CallableSource(self._pull, name="content-in",
                                       frame_output=True)
@@ -214,19 +213,16 @@ class CollaborativeSession:
             self._wireless_enqueued += 1
             self._queue.put(packed)
 
-    def wait_for_wireless_delivery(self, timeout: float = 10.0,
-                                   poll_interval: Optional[float] = None) -> bool:
+    def wait_for_wireless_delivery(self, timeout: float = 10.0) -> bool:
         """Wait until the wireless proxy chain has drained *and* delivered.
 
         The chain wait is condition-driven (every element signals after
-        each unit of work); ``poll_interval`` is kept for API compatibility
-        and ignored.  Push transports (inproc, loopback) deliver to the
-        participants' callbacks during ``send``; pull transports (udp) are
-        drained here — ``pending()`` ingests whatever the kernel has
+        each unit of work).  Push transports (inproc, loopback) deliver to
+        the participants' callbacks during ``send``; pull transports (udp)
+        are drained here — ``pending()`` ingests whatever the kernel has
         buffered, firing the callbacks — until the per-receiver delivery
         counters go quiet.
         """
-        del poll_interval
         deadline = _monotonic() + timeout
         drained = self.control.wait_idle(
             timeout=timeout,

@@ -5,7 +5,7 @@ Figure 6 of the paper shows the components of the FEC audio proxy:
 * downstream (toward the mobile hosts): a ``WiredReceiver`` takes multicast
   audio packets from the wired LAN, an ``FEC Encoder`` groups them and adds
   parity, and a ``WirelessSender`` multicasts data + parity on the WLAN;
-* upstream (from the mobile hosts): a ``WirelessReceiver`` takes packets off
+* upstream (from the mobile hosts): a wireless receiver takes packets off
   the WLAN, an ``FEC Decoder`` reconstructs lost packets, and a
   ``WiredSender`` forwards them to the wired participants.
 
@@ -33,7 +33,7 @@ from ..media import (
     MediaPacketError,
     ToneSource,
 )
-from ..net import DeliveryReport, LossModel, WirelessLAN
+from ..net import DeliveryReport
 from ..transport import InprocChannel, TransportSink
 from ..transport.base import DatagramChannel
 
@@ -52,8 +52,8 @@ class FecAudioProxyConfig:
     #: Execution engine name for the proxy's streams (None = ``REPRO_ENGINE``
     #: / the registry default; see :mod:`repro.runtime`).
     engine: Optional[str] = None
-    #: Transport name for the wireless segment when no ``wlan`` is given
-    #: (None = ``REPRO_TRANSPORT`` / the registry default; see
+    #: Transport name for the wireless segment when no ``channel`` is
+    #: given (None = ``REPRO_TRANSPORT`` / the registry default; see
     #: :mod:`repro.transport`).
     transport: Optional[str] = None
     #: Pin the FEC group-id base (None = a fresh process-wide block per
@@ -79,17 +79,16 @@ class FecAudioProxy:
     remove the FEC encoder filter *while the stream is running*, which is
     exactly the demand-driven behaviour of the paper's Section 3 scenario.
 
-    The wireless segment is a transport channel: pass a simulated ``wlan``
-    (the classic testbed — it is wrapped in an
-    :class:`~repro.transport.inproc.InprocChannel`), an existing
-    :class:`~repro.transport.base.DatagramChannel`, or neither, in which
-    case the proxy opens a channel on its transport (``transport=`` /
-    ``config.transport`` / ``REPRO_TRANSPORT`` / inproc default) — with the
-    ``udp`` transport the mobile hosts may live in other OS processes.
+    The wireless segment is a transport channel: pass an existing
+    :class:`~repro.transport.base.DatagramChannel` (the classic testbed is
+    an :class:`~repro.transport.inproc.InprocChannel` whose members carry
+    their own loss models), or none, in which case the proxy opens a
+    channel on its transport (``transport=`` / ``config.transport`` /
+    ``REPRO_TRANSPORT`` / inproc default) — with the ``udp`` transport the
+    mobile hosts may live in other OS processes.
     """
 
     def __init__(self, wired_packets: List[MediaPacket],
-                 wlan: Optional[WirelessLAN] = None,
                  config: Optional[FecAudioProxyConfig] = None,
                  name: str = "fec-audio-proxy",
                  channel: Optional[DatagramChannel] = None,
@@ -98,14 +97,8 @@ class FecAudioProxy:
         self.proxy = Proxy(name, engine=self.config.engine,
                            transport=transport or self.config.transport)
         if channel is None:
-            if wlan is not None:
-                channel = InprocChannel("wlan", wlan=wlan)
-            else:
-                channel = self.proxy.open_channel("wlan")
+            channel = self.proxy.open_channel("wlan")
         self.channel = channel
-        #: The simulated LAN behind the channel, when there is one (tests
-        #: and the Figure 7 driver reach into its access point for stats).
-        self.wlan = wlan if wlan is not None else getattr(channel, "wlan", None)
         self._encoder_filter: Optional[FecEncoderFilter] = None
 
         # Wired receiver: the already-packetised audio stream from the wired
@@ -311,22 +304,21 @@ def run_fec_audio_experiment(
                               packet_duration_ms=packet_duration_ms).packet_list()
     total_packets = len(packets)
 
-    wlan = WirelessLAN(seed=seed)
+    channel = InprocChannel("wlan", seed=seed)
     receivers: Dict[str, WirelessAudioReceiver] = {}
     for index in range(receiver_count):
         name = f"laptop-{index}"
         if loss_model_factory is not None:
-            model: LossModel = loss_model_factory(index)
-            wlan.add_receiver(name, loss_model=model)
+            channel.join(name, loss_model=loss_model_factory(index))
         else:
-            wlan.add_receiver(name, distance_m=distance_m,
-                              seed=seed * 1009 + index)
+            channel.join(name, distance_m=distance_m,
+                         seed=seed * 1009 + index)
         receivers[name] = WirelessAudioReceiver(name, fec_backend=fec_backend)
 
     config = FecAudioProxyConfig(k=k, n=n, fec_enabled=fec_enabled,
                                  packet_duration_ms=packet_duration_ms,
                                  fec_backend=fec_backend, engine=engine)
-    proxy = FecAudioProxy(packets, wlan, config=config)
+    proxy = FecAudioProxy(packets, config=config, channel=channel)
     proxy.start()
     completed = proxy.wait_for_completion(timeout=completion_timeout_s)
     proxy.shutdown()
@@ -335,14 +327,12 @@ def run_fec_audio_experiment(
 
     result = FecAudioExperimentResult(
         total_packets=total_packets, k=k, n=n, distance_m=distance_m,
-        packets_on_air=wlan.access_point.packets_sent,
-        bytes_on_air=wlan.access_point.bytes_sent,
-        airtime_s=wlan.access_point.busy_time_s)
+        packets_on_air=channel.packets_sent,
+        bytes_on_air=channel.bytes_sent,
+        airtime_s=channel.busy_time_s)
 
-    for name, receiver in receivers.items():
-        captured = wlan.access_point.receiver(name).take()
-        audio_receiver = receivers[name]
-        audio_receiver.process(captured)
+    for name, audio_receiver in receivers.items():
+        audio_receiver.process(channel.receiver(name).take())
         audio_receiver.finish()
         result.reports[name] = audio_receiver.delivery_report(total_packets)
     return result

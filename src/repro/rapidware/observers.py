@@ -1,16 +1,17 @@
 """Observer raplets: loss rate, channel utilisation, mobility, membership.
 
 Each observer watches one aspect of the running system (a wireless
-receiver's delivery statistics, the access point's airtime, a mobile user's
-position, the set of session participants) and publishes events when the
-observed quantity changes in a way a responder might care about.
+receiver's delivery statistics, the wireless channel's airtime, a mobile
+user's position, the set of session participants) and publishes events
+when the observed quantity changes in a way a responder might care about.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional
 
-from ..net import AccessPoint, ReceiverStats, WirelessReceiver
+from ..net import ReceiverStats
+from ..transport.inproc import InprocChannel, InprocReceiver
 from .events import (
     EVENT_BANDWIDTH,
     EVENT_DEVICE_JOINED,
@@ -86,7 +87,7 @@ class LossRateObserver(LossEventPolicy):
     clean period.
     """
 
-    def __init__(self, receiver: WirelessReceiver, bus: EventBus,
+    def __init__(self, receiver: InprocReceiver, bus: EventBus,
                  degraded_threshold: float = 0.01,
                  critical_threshold: float = 0.10,
                  min_sample_packets: int = 20,
@@ -117,12 +118,12 @@ class LossRateObserver(LossEventPolicy):
 class BandwidthObserver(ObserverRaplet):
     """Watches the wireless channel's airtime and reports utilisation."""
 
-    def __init__(self, access_point: AccessPoint, bus: EventBus,
+    def __init__(self, channel: InprocChannel, bus: EventBus,
                  degraded_utilisation: float = 0.7,
                  critical_utilisation: float = 0.9,
                  name: str = "bandwidth-observer") -> None:
         super().__init__(name, bus)
-        self.access_point = access_point
+        self.channel = channel
         self.degraded_utilisation = degraded_utilisation
         self.critical_utilisation = critical_utilisation
         self._last_busy_s = 0.0
@@ -131,14 +132,14 @@ class BandwidthObserver(ObserverRaplet):
     def measure(self, now_s: float) -> List[Event]:
         if self._last_time_s is None:
             self._last_time_s = now_s
-            self._last_busy_s = self.access_point.busy_time_s
+            self._last_busy_s = self.channel.busy_time_s
             return []
         elapsed = now_s - self._last_time_s
         if elapsed <= 0:
             return []
-        busy = self.access_point.busy_time_s - self._last_busy_s
+        busy = self.channel.busy_time_s - self._last_busy_s
         self._last_time_s = now_s
-        self._last_busy_s = self.access_point.busy_time_s
+        self._last_busy_s = self.channel.busy_time_s
         utilisation = min(1.0, busy / elapsed)
         if utilisation >= self.critical_utilisation:
             severity = SEVERITY_CRITICAL
@@ -160,7 +161,7 @@ class MigrationObserver(ObserverRaplet):
     hall — the paper's motivating scenario).
     """
 
-    def __init__(self, receiver: WirelessReceiver, bus: EventBus,
+    def __init__(self, receiver: InprocReceiver, bus: EventBus,
                  boundary_distances_m: "tuple[float, ...]" = (15.0, 30.0),
                  name: Optional[str] = None) -> None:
         super().__init__(name or f"migration-observer:{receiver.name}", bus)

@@ -27,9 +27,9 @@ from typing import List, Optional
 
 from ..core import CallableSource, ControlThread, Proxy
 from ..media import AudioPacketizer, MediaPacket, ToneSource
-from ..net import DeliveryReport, LinearWalk, WirelessLAN
+from ..net import DeliveryReport, LinearWalk
 from ..proxies.fec_audio_proxy import WirelessAudioReceiver
-from ..transport import TransportSink, open_wireless_channel
+from ..transport import InprocChannel, TransportSink
 from .events import EventBus
 from .observers import LossRateObserver, MigrationObserver
 from .policy import AdaptationLimits, FecPolicy
@@ -39,8 +39,7 @@ from .responders import FecResponder
 class AdaptiveAudioSession:
     """A live audio stream through a proxy whose FEC adapts to link quality."""
 
-    def __init__(self, wlan: Optional[WirelessLAN] = None,
-                 receiver_name: str = "mobile-host",
+    def __init__(self, receiver_name: str = "mobile-host",
                  initial_distance_m: float = 5.0,
                  policy: Optional[FecPolicy] = None,
                  limits: Optional[AdaptationLimits] = None,
@@ -53,22 +52,18 @@ class AdaptiveAudioSession:
         # models and distances the adaptation plane observes — under any
         # other transport :meth:`observe` and :meth:`move_receiver` are
         # no-ops and the stream is simply carried unprotected-but-lossless).
-        # An explicit ``wlan`` wins; otherwise the transport selection
-        # (argument / REPRO_TRANSPORT / default) decides, as for Proxy.
+        # The transport selection (argument / REPRO_TRANSPORT / default)
+        # decides the channel, as for Proxy; only inproc uses the seed.
         self.proxy = Proxy("adaptive-audio-proxy", engine=engine,
                            transport=transport)
-        self.channel, self.wlan, self._simulated = open_wireless_channel(
-            self.proxy, "adaptive-audio", wlan=wlan, seed=seed)
-        # The capture path is the channel receiver's queue on every
-        # transport (collect_received).
-        channel_receiver = self.channel.join(receiver_name,
-                                             distance_m=initial_distance_m,
-                                             seed=seed)
-        #: The receiving end used for loss observation: the simulated
-        #: WirelessReceiver under inproc (stats, move_to), the transport
-        #: receiver otherwise.
-        self.receiver = getattr(channel_receiver, "wireless", channel_receiver)
-        self.channel_receiver = channel_receiver
+        self.channel = self.proxy.open_channel("adaptive-audio", seed=seed)
+        self._simulated = isinstance(self.channel, InprocChannel)
+        #: The mobile host's receiving end: the capture path on every
+        #: transport (collect_received), and under inproc also the loss
+        #: statistics and position the oracle observers read.
+        self.receiver = self.channel.join(receiver_name,
+                                          distance_m=initial_distance_m,
+                                          seed=seed)
         self.audio_receiver = WirelessAudioReceiver(receiver_name)
 
         # The proxied stream: a queue-fed source (the "socket" from the wired
@@ -108,7 +103,7 @@ class AdaptiveAudioSession:
             from ..obs.loss import LossEstimator, MeasuredLossObserver
 
             self.loss_estimator = LossEstimator()
-            self.loss_estimator.attach(channel_receiver)
+            self.loss_estimator.attach(self.receiver)
             self.measured_observer = MeasuredLossObserver(
                 self.loss_estimator, self.bus, receiver_name=receiver_name,
                 degraded_threshold=(policy or FecPolicy()).insert_threshold,
@@ -135,18 +130,15 @@ class AdaptiveAudioSession:
         self._source_done.set()
         self._queue.put(None)  # wake the source's blocking queue wait
 
-    def wait_quiescent(self, timeout: float = 10.0,
-                       poll_interval: Optional[float] = None) -> bool:
+    def wait_quiescent(self, timeout: float = 10.0) -> bool:
         """Wait until everything already enqueued has left the proxy.
 
         Quiescence means: the feed queue is empty, every enqueued packet has
         entered the chain, and every chain element is idle (no buffered
         input, nothing mid-transform).  FEC groups that are still filling
         count as quiescent — they hold data by design.  The wait is
-        condition-driven (each element signals after every unit of work);
-        ``poll_interval`` is kept for API compatibility and ignored.
+        condition-driven (each element signals after every unit of work).
         """
-        del poll_interval
         return self.control.wait_idle(
             timeout=timeout,
             extra=lambda: (self._queue.empty()
@@ -183,7 +175,7 @@ class AdaptiveAudioSession:
 
     def collect_received(self) -> None:
         """Feed everything captured by the wireless receiver to the decoder."""
-        self.audio_receiver.process(self.channel_receiver.take())
+        self.audio_receiver.process(self.receiver.take())
 
     def finish(self, timeout: float = 30.0) -> None:
         """End the stream, drain the chain, and flush FEC state."""
@@ -261,7 +253,7 @@ def run_adaptive_walk_experiment(
     walk = walk or LinearWalk(start_distance_m=5.0, end_distance_m=40.0,
                               duration_s=20.0)
     session = AdaptiveAudioSession(
-        wlan=WirelessLAN(seed=wlan_seed),
+        transport="inproc",
         initial_distance_m=walk.start_distance_m,
         policy=policy, seed=wlan_seed)
     if not adaptive:

@@ -31,12 +31,7 @@ from .base import (
     set_default_transport,
 )
 from .endpoints import TransportSink, TransportSource
-from .inproc import (
-    InprocChannel,
-    InprocReceiver,
-    InprocTransport,
-    open_wireless_channel,
-)
+from .inproc import InprocChannel, InprocReceiver, InprocTransport
 from .loopback import (
     LoopbackChannel,
     LoopbackReceiver,
@@ -78,7 +73,6 @@ __all__ = [
     "InprocTransport",
     "InprocChannel",
     "InprocReceiver",
-    "open_wireless_channel",
     "LoopbackTransport",
     "LoopbackChannel",
     "LoopbackReceiver",

@@ -67,21 +67,21 @@ class TransportTimeoutError(TransportError):
 #: wake-up signal instead of polling.
 ReceiverListener = Callable[[], None]
 
-#: Optional per-datagram delivery callback (payload bytes), mirroring the
-#: ``on_receive`` hook of :class:`repro.net.wlan.WirelessReceiver`.
+#: Optional per-datagram delivery callback (payload bytes), called for each
+#: payload a receiver is handed.
 DeliveryCallback = Callable[[bytes], None]
 
 
 class DatagramReceiver(ListenerMixin, ABC):
     """One member's receiving end of a datagram channel.
 
-    The host-facing API mirrors :class:`repro.net.wlan.WirelessReceiver`
-    (``take``/``pending``) and adds the blocking/non-blocking reads and the
-    readiness hooks the endpoint layer needs: :meth:`poll` never blocks,
-    :meth:`recv` blocks with a timeout, :meth:`subscribe` registers a
-    readiness listener, and :meth:`selectable_fileno` exposes a selectable
-    file descriptor when the transport has one (UDP), so an event engine can
-    multiplex many receivers on one scheduler thread.
+    The host-facing API drains with ``take``/``pending`` and adds the
+    blocking/non-blocking reads and the readiness hooks the endpoint layer
+    needs: :meth:`poll` never blocks, :meth:`recv` blocks with a timeout,
+    :meth:`subscribe` registers a readiness listener, and
+    :meth:`selectable_fileno` exposes a selectable file descriptor when the
+    transport has one (UDP), so an event engine can multiplex many
+    receivers on one scheduler thread.
     """
 
     def __init__(self, name: str,

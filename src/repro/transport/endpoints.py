@@ -5,7 +5,7 @@
 multicasts every packet leaving a chain onto a
 :class:`~repro.transport.base.DatagramChannel`.  Together they replace the
 ad-hoc pairs the proxies grew before the transport layer existed
-(``CallableSink(wlan.send)``, queue-fed ``CallableSource``) with endpoints
+(``CallableSink(channel.send)``, queue-fed ``CallableSource``) with endpoints
 that work identically over the simulated LAN, in-memory queues, and real
 UDP sockets.
 

@@ -1,14 +1,13 @@
-"""The inproc transport — the paper's simulated testbed behind the ABC.
+"""The inproc transport — the paper's simulated WaveLAN segment.
 
-The datagram service wraps :mod:`repro.net.wlan`: a channel is an
-:class:`~repro.net.wlan.AccessPoint` (one sender, many receivers, each with
-an independently *seeded* loss model), so everything the simulation already
-provides — distance-based loss calibration, WaveLAN airtime accounting,
-per-receiver statistics, deterministic replays — is available through the
-same :class:`~repro.transport.base.DatagramChannel` interface the real UDP
-transport implements.  Determinism is preserved: a channel's receivers draw
-their losses from seeds derived exactly as ``AccessPoint.add_receiver``
-always has.
+A datagram channel *is* the access point of the testbed: one sender (the
+proxy), many members, each with an independently *seeded* loss model, so
+losses at different members are uncorrelated — the property the paper's
+multicast-FEC argument relies on.  The channel accounts WaveLAN airtime
+(raw bandwidth plus a fixed per-packet overhead) for utilisation reports,
+and each member keeps its delivery statistics and, with a distance-based
+loss model, its distance from the access point.  Everything is
+deterministic: a fixed construction sequence replays the same losses.
 
 The stream service is the reliable in-memory pipe shared with the loopback
 transport (the wired LAN of the testbed is lossless; a simulated lossy byte
@@ -21,90 +20,100 @@ from __future__ import annotations
 import threading
 from typing import Dict, List, Optional
 
-from ..net.channel import LossModel
-from ..net.wlan import WAVELAN_BANDWIDTH_BPS, AccessPoint, WirelessLAN
+from ..net.channel import (
+    PER_PACKET_OVERHEAD_S,
+    WAVELAN_BANDWIDTH_BPS,
+    DistanceLoss,
+    LossModel,
+    NoLoss,
+)
+from ..net.stats import ReceiverStats
 from .base import DatagramChannel, DatagramReceiver, Transport, TransportError
 from .loopback import MemoryStreamServiceMixin
 
 
 class InprocReceiver(DatagramReceiver):
-    """Adapter: a channel receiver fed by a simulated wireless receiver.
+    """A mobile host on the simulated wireless LAN.
 
-    The wrapped :class:`~repro.net.wlan.WirelessReceiver` keeps applying its
-    own loss model and statistics; every packet it *delivers* lands in this
-    receiver's queue (the wireless receiver's own inbox also fills — drain
-    whichever side of the API you consume).
+    Every packet the channel transmits is offered to the member's own loss
+    model; ``stats`` counts what was addressed to it, delivered and lost.
+    Lost packets are counted but never seen, exactly like a UDP socket on a
+    lossy link.
     """
 
-    def __init__(self, name: str, wireless, on_receive=None,
+    def __init__(self, name: str, loss_model: LossModel, on_receive=None,
                  queue_payloads: bool = True) -> None:
         super().__init__(name, on_receive=on_receive,
                          queue_payloads=queue_payloads)
-        #: The underlying simulated receiver (loss model, stats, move_to).
-        self.wireless = wireless
+        self.loss_model = loss_model
+        self.stats = ReceiverStats(name=name)
 
     @property
-    def stats(self):
-        """The simulated receiver's delivery/loss statistics."""
-        return self.wireless.stats
+    def distance_m(self) -> Optional[float]:
+        """Distance from the access point, for a distance-based loss model."""
+        if isinstance(self.loss_model, DistanceLoss):
+            return self.loss_model.distance_m
+        return None
 
     def move_to(self, distance_m: float) -> None:
-        """Move the simulated receiver (distance-based loss models only)."""
-        self.wireless.move_to(distance_m)
+        """Move the member (distance-based loss models only)."""
+        if not isinstance(self.loss_model, DistanceLoss):
+            raise TypeError(
+                f"receiver {self.name!r} does not use a distance-based loss model")
+        self.loss_model.set_distance(distance_m)
 
 
 class InprocChannel(DatagramChannel):
-    """A datagram channel backed by the simulated wireless LAN.
+    """The simulated wireless LAN: an access point and its members.
 
-    ``join`` accepts the simulation's receiver options (``distance_m``,
-    ``loss_model``, ``seed``); with none given the member experiences no
-    loss, exactly like ``AccessPoint.add_receiver``.  The channel can wrap
-    an existing :class:`~repro.net.wlan.WirelessLAN` (so code that already
-    holds one — the FEC audio proxy, the sessions — keeps its handle on the
-    access point), or build its own from a seed.
+    ``join`` takes the simulation's member options: a ``loss_model``, or a
+    ``distance_m`` (with an optional ``seed``) for the calibrated
+    distance-based loss; with neither the member experiences no loss.  A
+    member joined by distance without a seed draws from
+    ``seed * 7919 + members + 1``, so each is seeded apart from the others.
     """
 
-    def __init__(self, name: str = "wlan",
-                 wlan: Optional[WirelessLAN] = None,
-                 seed: int = 0,
+    def __init__(self, name: str = "wlan", seed: int = 0,
                  bandwidth_bps: float = WAVELAN_BANDWIDTH_BPS) -> None:
+        if bandwidth_bps <= 0:
+            raise ValueError("bandwidth must be positive")
         super().__init__(name)
-        self.wlan = wlan or WirelessLAN(bandwidth_bps=bandwidth_bps, seed=seed)
+        self.bandwidth_bps = bandwidth_bps
+        self.per_packet_overhead_s = PER_PACKET_OVERHEAD_S
+        #: Channel time spent transmitting, in seconds.
+        self.busy_time_s = 0.0
+        self._seed = seed
         self._lock = threading.Lock()
         self._receivers: Dict[str, InprocReceiver] = {}
-
-    @property
-    def access_point(self) -> AccessPoint:
-        """The simulated LAN's access point (sender side)."""
-        return self.wlan.access_point
 
     def join(self, member: str, distance_m: Optional[float] = None,
              loss_model: Optional[LossModel] = None,
              seed: Optional[int] = None, on_receive=None,
              queue_payloads: bool = True, **_options) -> InprocReceiver:
-        """Add a member with the simulation's receiver options."""
+        """Add a member with its own loss model (see the class docstring)."""
         with self._lock:
             if member in self._receivers:
                 raise TransportError(
                     f"channel {self.name!r}: member {member!r} already joined")
-            receiver = InprocReceiver(member, wireless=None,
+            if loss_model is None:
+                if distance_m is None:
+                    loss_model = NoLoss()
+                else:
+                    if seed is None:
+                        seed = self._seed * 7919 + len(self._receivers) + 1
+                    loss_model = DistanceLoss(distance_m, seed=seed)
+            receiver = InprocReceiver(member, loss_model,
                                       on_receive=on_receive,
                                       queue_payloads=queue_payloads)
-            wireless = self.wlan.add_receiver(
-                member, distance_m=distance_m, loss_model=loss_model,
-                seed=seed,
-                on_receive=lambda payload: receiver._deliver_many((payload,)))
-            receiver.wireless = wireless
             self._receivers[member] = receiver
             if self._closed:
                 receiver._mark_eof()
             return receiver
 
     def leave(self, member: str) -> None:
-        """Remove a member from channel and simulation (missing is a no-op)."""
+        """Remove a member (missing is a no-op); it observes EOF."""
         with self._lock:
             receiver = self._receivers.pop(member, None)
-        self.access_point.remove_receiver(member)
         if receiver is not None:
             receiver._mark_eof()
 
@@ -123,24 +132,69 @@ class InprocChannel(DatagramChannel):
         with self._lock:
             return list(self._receivers.values())
 
+    # -- airtime ---------------------------------------------------------------
+
+    def airtime_for(self, nbytes: int) -> float:
+        """Channel time consumed by a packet of ``nbytes``."""
+        return nbytes * 8.0 / self.bandwidth_bps + self.per_packet_overhead_s
+
+    def utilisation(self, elapsed_s: float) -> float:
+        """Fraction of ``elapsed_s`` the channel spent transmitting."""
+        if elapsed_s <= 0:
+            return 0.0
+        return min(1.0, self.busy_time_s / elapsed_s)
+
+    # -- transmission ----------------------------------------------------------
+
+    def _transmit(self, batch: List[bytes], member: Optional[str] = None) -> int:
+        """Put ``batch`` on the air to every member, or to ``member``.
+
+        Returns the members reached.  Losses are drawn packet by packet
+        and, within a packet, member by member in join order; each member
+        then receives what it did not lose in one delivery.  A multicast
+        is accounted even with no member to reach; a unicast only when its
+        member exists.
+        """
+        with self._lock:
+            if self._closed:
+                raise TransportError(f"channel {self.name!r}: send after close")
+            if member is None:
+                receivers = list(self._receivers.values())
+            else:
+                receiver = self._receivers.get(member)
+                if receiver is None:
+                    return 0
+                receivers = [receiver]
+        delivered: List[List[bytes]] = [[] for _ in receivers]
+        for payload in batch:
+            nbytes = len(payload)
+            self._account(nbytes)
+            self.busy_time_s += self.airtime_for(nbytes)
+            for receiver, arrived in zip(receivers, delivered):
+                if receiver.loss_model.packet_lost():
+                    receiver.stats.record_loss()
+                else:
+                    receiver.stats.record_delivery(nbytes)
+                    arrived.append(payload)
+        for receiver, arrived in zip(receivers, delivered):
+            if arrived:
+                receiver._deliver_many(arrived)
+        return len(receivers)
+
     def send(self, data: bytes) -> int:
-        """Multicast through the simulated LAN; returns members targeted."""
-        if self._closed:
-            raise TransportError(f"channel {self.name!r}: send after close")
-        record = self.access_point.multicast(bytes(data))
-        self._account(len(data))
-        return len(record.delivered_to) + len(record.lost_by)
+        """Multicast one datagram; returns members targeted."""
+        return self._transmit([bytes(data)])
+
+    def send_many(self, payloads) -> int:
+        """Multicast a batch; returns payloads sent to >= 1 member."""
+        batch = list(map(bytes, payloads))
+        if not batch:
+            return 0
+        return len(batch) if self._transmit(batch) else 0
 
     def send_to(self, member: str, data: bytes) -> bool:
-        """Unicast through the simulated LAN; True when the member exists."""
-        if self._closed:
-            raise TransportError(f"channel {self.name!r}: send after close")
-        try:
-            self.access_point.unicast(member, bytes(data))
-        except KeyError:
-            return False
-        self._account(len(data))
-        return True
+        """Unicast one datagram; True when the member exists."""
+        return bool(self._transmit([bytes(data)], member))
 
     def close(self) -> None:
         """End the stream: every member observes EOF after draining."""
@@ -153,48 +207,23 @@ class InprocChannel(DatagramChannel):
             receiver._mark_eof()
 
 
-def open_wireless_channel(proxy, name: str,
-                          wlan: Optional[WirelessLAN] = None,
-                          seed: int = 0):
-    """Resolve a session's wireless segment against a proxy's transport.
-
-    The selection rule shared by the session layers (pavilion, rapidware):
-    an explicit ``wlan`` always wins; otherwise an inproc transport gets a
-    fresh simulated LAN with the session's historical seeding; any other
-    transport provides the channel itself.  Returns ``(channel, wlan_or_None,
-    simulated)`` — ``simulated`` tells the caller whether the loss-model /
-    distance machinery is available.
-    """
-    if wlan is not None or isinstance(proxy.transport, InprocTransport):
-        wlan = wlan or WirelessLAN(seed=seed)
-        return InprocChannel(name, wlan=wlan), wlan, True
-    channel = proxy.open_channel(name)
-    return channel, getattr(channel, "wlan", None), False
-
-
 class InprocTransport(MemoryStreamServiceMixin, Transport):
     """The simulated testbed as a transport (deterministic, single-process).
 
-    Each named channel gets its own wireless LAN with a seed derived from
-    the transport seed and the channel's creation order, so a fixed
-    construction sequence replays byte-identically.  Passing ``wlan=`` to
-    the constructor (or to :meth:`open_channel`) binds a channel to an
-    existing simulated LAN instead.
+    Each named channel is its own wireless LAN, seeded from the transport
+    seed and the channel's creation order unless :meth:`open_channel` is
+    given a seed, so a fixed construction sequence replays byte-identically.
     """
 
     name = "inproc"
 
-    def __init__(self, seed: int = 0,
-                 wlan: Optional[WirelessLAN] = None) -> None:
+    def __init__(self, seed: int = 0) -> None:
         MemoryStreamServiceMixin.__init__(self)
         self._seed = seed
-        self._wlan = wlan
         self._channels: Dict[str, InprocChannel] = {}
         self._channel_lock = threading.Lock()
 
-    def open_channel(self, name: str = "default",
-                     wlan: Optional[WirelessLAN] = None,
-                     seed: Optional[int] = None,
+    def open_channel(self, name: str = "default", seed: Optional[int] = None,
                      **_options) -> InprocChannel:
         """Create (or look up) a channel with stable per-channel seeding."""
         with self._channel_lock:
@@ -202,11 +231,10 @@ class InprocTransport(MemoryStreamServiceMixin, Transport):
             if channel is None:
                 if seed is None:
                     # Stable per-channel seeds: the same construction order
-                    # replays the same losses (7919 is the AccessPoint's own
-                    # seed-spreading prime).
+                    # replays the same losses (7919 is the channel's own
+                    # member-seed-spreading prime).
                     seed = self._seed * 7919 + len(self._channels)
-                channel = InprocChannel(name, wlan=wlan or self._wlan,
-                                        seed=seed)
+                channel = InprocChannel(name, seed=seed)
                 self._channels[name] = channel
             return channel
 

@@ -8,8 +8,8 @@ the seeded loss simulation of ``inproc`` or the real sockets of ``udp``.
 
 The in-memory stream machinery (:class:`MemoryStreamConnection`,
 :class:`MemoryStreamListener`) is shared with the inproc transport, whose
-datagram side is the :mod:`repro.net` simulation but whose byte streams are
-the same reliable in-process pipes.
+datagram side is the simulated WLAN but whose byte streams are the same
+reliable in-process pipes.
 """
 
 from __future__ import annotations

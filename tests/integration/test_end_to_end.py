@@ -27,7 +27,7 @@ from repro.filters import (
     ZlibDecompressFilter,
 )
 from repro.media import AudioPacketizer, ToneSource, pcm_similarity
-from repro.net import BernoulliLoss, WirelessLAN
+from repro.net import BernoulliLoss
 from repro.pavilion import CollaborativeSession, build_demo_site
 from repro.proxies import (
     DeviceDescriptor,
@@ -36,6 +36,7 @@ from repro.proxies import (
 )
 from repro.rapidware import run_adaptive_walk_experiment
 from repro.net import LinearWalk
+from repro.transport import InprocChannel
 
 
 class TestFilterChainPipelines:
@@ -155,16 +156,16 @@ class TestFecOverLossyWlan:
     def test_reconstructed_audio_is_byte_accurate_when_fec_suffices(self):
         audio = ToneSource(duration=2.0)
         packets = AudioPacketizer(audio).packet_list()
-        wlan = WirelessLAN(seed=3)
-        wlan.add_receiver("host", loss_model=BernoulliLoss(0.03, seed=9))
+        channel = InprocChannel(seed=3)
+        host = channel.join("host", loss_model=BernoulliLoss(0.03, seed=9))
         from repro.proxies import FecAudioProxy
 
-        proxy = FecAudioProxy(packets, wlan).start()
+        proxy = FecAudioProxy(packets, channel=channel).start()
         assert proxy.wait_for_completion(timeout=60.0)
         proxy.shutdown()
 
         receiver = WirelessAudioReceiver("host")
-        receiver.process(wlan.access_point.receiver("host").take())
+        receiver.process(host.take())
         receiver.finish()
         report = receiver.delivery_report(len(packets))
         rebuilt = receiver.reconstructed_pcm(len(packets))

@@ -1,97 +1,16 @@
-"""Unit tests for the WLAN/wired simulations, multicast, stats and traces."""
+"""Unit tests for mobility, multicast groups, delivery stats and traces."""
 
 import pytest
 
 from repro.net import (
-    AccessPoint,
     DeliveryReport,
     FIG7_WINDOW_SIZE,
-    FixedPatternLoss,
     LinearWalk,
     MulticastGroup,
-    NoLoss,
     PacketTrace,
-    WiredLAN,
-    WirelessLAN,
     loss_run_lengths,
     windowed_percentages,
 )
-
-
-class TestAccessPoint:
-    def test_add_and_lookup_receivers(self):
-        ap = AccessPoint()
-        ap.add_receiver("a", distance_m=10.0)
-        ap.add_receiver("b", loss_model=NoLoss())
-        assert {r.name for r in ap.receivers} == {"a", "b"}
-        assert ap.receiver("a").distance_m == 10.0
-
-    def test_duplicate_receiver_rejected(self):
-        ap = AccessPoint()
-        ap.add_receiver("a")
-        with pytest.raises(ValueError):
-            ap.add_receiver("a")
-
-    def test_multicast_delivers_to_all_lossless_receivers(self):
-        ap = AccessPoint()
-        ap.add_receiver("a", loss_model=NoLoss())
-        ap.add_receiver("b", loss_model=NoLoss())
-        record = ap.multicast(b"hello")
-        assert sorted(record.delivered_to) == ["a", "b"]
-        assert ap.receiver("a").take() == [b"hello"]
-        assert ap.receiver("b").pending() == 1
-
-    def test_per_receiver_independent_loss(self):
-        ap = AccessPoint()
-        ap.add_receiver("lossy", loss_model=FixedPatternLoss([True]))
-        ap.add_receiver("clean", loss_model=NoLoss())
-        record = ap.multicast(b"pkt")
-        assert record.lost_by == ["lossy"]
-        assert record.delivered_to == ["clean"]
-
-    def test_stats_track_losses(self):
-        ap = AccessPoint()
-        ap.add_receiver("r", loss_model=FixedPatternLoss([True, False]))
-        ap.multicast_many([b"a", b"b", b"c", b"d"])
-        stats = ap.receiver("r").stats
-        assert stats.packets_sent_to == 4
-        assert stats.packets_lost == 2
-        assert stats.delivery_ratio == pytest.approx(0.5)
-        assert stats.loss_ratio == pytest.approx(0.5)
-
-    def test_airtime_accounting(self):
-        ap = AccessPoint(bandwidth_bps=2_000_000, per_packet_overhead_s=0.0)
-        ap.add_receiver("r", loss_model=NoLoss())
-        ap.multicast(b"\x00" * 250)  # 2000 bits at 2 Mbps = 1 ms
-        assert ap.busy_time_s == pytest.approx(0.001)
-        assert ap.bytes_sent == 250
-        assert ap.utilisation(0.01) == pytest.approx(0.1)
-
-    def test_unicast(self):
-        ap = AccessPoint()
-        ap.add_receiver("only", loss_model=NoLoss())
-        assert ap.unicast("only", b"direct")
-        assert ap.receiver("only").take() == [b"direct"]
-
-    def test_receiver_callback(self):
-        got = []
-        wlan = WirelessLAN()
-        wlan.add_receiver("cb", loss_model=NoLoss(), on_receive=got.append)
-        wlan.send(b"payload")
-        assert got == [b"payload"]
-
-    def test_move_receiver_requires_distance_model(self):
-        ap = AccessPoint()
-        receiver = ap.add_receiver("fixed", loss_model=NoLoss())
-        with pytest.raises(TypeError):
-            receiver.move_to(30.0)
-        mobile = ap.add_receiver("mobile", distance_m=5.0)
-        mobile.move_to(35.0)
-        assert mobile.distance_m == 35.0
-
-    def test_invalid_bandwidth_rejected(self):
-        with pytest.raises(ValueError):
-            AccessPoint(bandwidth_bps=0)
 
 
 class TestLinearWalk:
@@ -113,55 +32,6 @@ class TestLinearWalk:
     def test_invalid_step_rejected(self):
         with pytest.raises(ValueError):
             LinearWalk().positions(0)
-
-
-class TestWiredLAN:
-    def test_unicast_and_broadcast(self):
-        lan = WiredLAN()
-        a = lan.add_host("a")
-        b = lan.add_host("b")
-        lan.unicast("b", b"direct")
-        assert b.take() == [b"direct"]
-        lan.broadcast(b"all", exclude="a")
-        assert a.inbox == []
-        assert b.take() == [b"all"]
-
-    def test_multicast_groups(self):
-        lan = WiredLAN()
-        lan.add_host("a")
-        lan.add_host("b")
-        lan.add_host("c")
-        lan.join_group("viewers", "a")
-        lan.join_group("viewers", "b")
-        delivered = lan.multicast("viewers", b"frame", exclude="a")
-        assert delivered == ["b"]
-        assert lan.group_members("viewers") == ["a", "b"]
-        lan.leave_group("viewers", "b")
-        assert lan.group_members("viewers") == ["a"]
-
-    def test_duplicate_host_rejected(self):
-        lan = WiredLAN()
-        lan.add_host("a")
-        with pytest.raises(ValueError):
-            lan.add_host("a")
-
-    def test_join_unknown_host_rejected(self):
-        lan = WiredLAN()
-        with pytest.raises(KeyError):
-            lan.join_group("g", "ghost")
-
-    def test_bandwidth_accounting(self):
-        lan = WiredLAN(bandwidth_bps=100_000_000)
-        lan.add_host("a")
-        lan.unicast("a", b"\x00" * 12500)  # 1 ms at 100 Mbps
-        assert lan.busy_time_s == pytest.approx(0.001)
-
-    def test_host_callback(self):
-        got = []
-        lan = WiredLAN()
-        lan.add_host("cb", on_receive=got.append)
-        lan.unicast("cb", b"x")
-        assert got == [b"x"]
 
 
 class TestMulticastGroup:

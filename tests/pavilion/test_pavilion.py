@@ -256,8 +256,7 @@ class TestCollaborativeSession:
             compressed.browse("alice", url)
             plain.browse("alice", [u for u in _store2.urls()
                                    if u.endswith(".html")][0])
-            assert (compressed.wlan.access_point.bytes_sent
-                    < plain.wlan.access_point.bytes_sent)
+            assert compressed.channel.bytes_sent < plain.channel.bytes_sent
         finally:
             compressed.shutdown()
             plain.shutdown()

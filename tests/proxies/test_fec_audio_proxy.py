@@ -3,30 +3,36 @@
 import pytest
 
 from repro.media import AudioPacketizer, ToneSource
-from repro.net import BernoulliLoss, FixedPatternLoss, NoLoss, WirelessLAN
+from repro.net import BernoulliLoss, FixedPatternLoss, NoLoss
 from repro.proxies import (
     FecAudioProxy,
     FecAudioProxyConfig,
     WirelessAudioReceiver,
     run_fec_audio_experiment,
 )
+from repro.transport import InprocChannel
 
 
 def audio_packets(duration_s=1.0):
     return AudioPacketizer(ToneSource(duration=duration_s)).packet_list()
 
 
+def wireless_host(loss_model=None):
+    """A simulated WLAN with one mobile host (lossless by default)."""
+    channel = InprocChannel()
+    return channel, channel.join("host", loss_model=loss_model or NoLoss())
+
+
 class TestFecAudioProxy:
     def test_lossless_link_delivers_everything(self):
         packets = audio_packets(1.0)
-        wlan = WirelessLAN()
-        wlan.add_receiver("host", loss_model=NoLoss())
-        proxy = FecAudioProxy(packets, wlan).start()
+        channel, host = wireless_host()
+        proxy = FecAudioProxy(packets, channel=channel).start()
         assert proxy.wait_for_completion(timeout=30.0)
         proxy.shutdown()
 
         receiver = WirelessAudioReceiver("host")
-        receiver.process(wlan.access_point.receiver("host").take())
+        receiver.process(host.take())
         receiver.finish()
         report = receiver.delivery_report(len(packets))
         assert report.received_percent == pytest.approx(100.0)
@@ -34,39 +40,36 @@ class TestFecAudioProxy:
 
     def test_fec_expands_traffic_by_n_over_k(self):
         packets = audio_packets(1.0)  # 50 packets
-        wlan = WirelessLAN()
-        wlan.add_receiver("host", loss_model=NoLoss())
-        proxy = FecAudioProxy(packets, wlan,
-                              FecAudioProxyConfig(k=4, n=6)).start()
+        channel, host = wireless_host()
+        proxy = FecAudioProxy(packets, channel=channel,
+                              config=FecAudioProxyConfig(k=4, n=6)).start()
         proxy.wait_for_completion(timeout=30.0)
         proxy.shutdown()
         # 50 payloads = 12 full groups (72 packets) + 2 uncoded tail packets.
-        assert wlan.access_point.packets_sent == 12 * 6 + 2
+        assert channel.packets_sent == 12 * 6 + 2
 
     def test_without_fec_traffic_is_unexpanded(self):
         packets = audio_packets(1.0)
-        wlan = WirelessLAN()
-        wlan.add_receiver("host", loss_model=NoLoss())
-        proxy = FecAudioProxy(packets, wlan,
-                              FecAudioProxyConfig(fec_enabled=False)).start()
+        channel, host = wireless_host()
+        proxy = FecAudioProxy(packets, channel=channel,
+                              config=FecAudioProxyConfig(fec_enabled=False)).start()
         proxy.wait_for_completion(timeout=30.0)
         proxy.shutdown()
-        assert wlan.access_point.packets_sent == len(packets)
+        assert channel.packets_sent == len(packets)
 
     def test_fec_recovers_single_losses_per_group(self):
         # 0.96 s = 48 packets = 12 complete FEC(6,4) groups, no uncoded tail,
         # so a strictly periodic one-in-six loss is always repairable.
         packets = audio_packets(0.96)
-        wlan = WirelessLAN()
         # Lose exactly one packet in six, always recoverable with FEC(6,4).
-        wlan.add_receiver("host", loss_model=FixedPatternLoss(
+        channel, host = wireless_host(FixedPatternLoss(
             [True, False, False, False, False, False]))
-        proxy = FecAudioProxy(packets, wlan).start()
+        proxy = FecAudioProxy(packets, channel=channel).start()
         proxy.wait_for_completion(timeout=30.0)
         proxy.shutdown()
 
         receiver = WirelessAudioReceiver("host")
-        receiver.process(wlan.access_point.receiver("host").take())
+        receiver.process(host.take())
         receiver.finish()
         report = receiver.delivery_report(len(packets))
         assert report.received_percent < 100.0
@@ -74,10 +77,9 @@ class TestFecAudioProxy:
 
     def test_enable_and_disable_fec_on_live_stream(self):
         packets = audio_packets(4.0)
-        wlan = WirelessLAN()
-        wlan.add_receiver("host", loss_model=NoLoss())
-        proxy = FecAudioProxy(packets, wlan,
-                              FecAudioProxyConfig(fec_enabled=False))
+        channel, host = wireless_host()
+        proxy = FecAudioProxy(packets, channel=channel,
+                              config=FecAudioProxyConfig(fec_enabled=False))
         # Pace the source so the stream is still live while we reconfigure.
         proxy._source.pacing_s = 0.001
         proxy.start()
@@ -93,7 +95,7 @@ class TestFecAudioProxy:
         proxy.shutdown()
 
         receiver = WirelessAudioReceiver("host")
-        receiver.process(wlan.access_point.receiver("host").take())
+        receiver.process(host.take())
         receiver.finish()
         report = receiver.delivery_report(len(packets))
         # Reconfiguration on a lossless link must not lose anything.

@@ -4,7 +4,6 @@ import pytest
 
 from repro.core import CollectorSink, IterableSource, null_proxy
 from repro.net import (
-    AccessPoint,
     FixedPatternLoss,
     LinearWalk,
     NoLoss,
@@ -29,60 +28,69 @@ from repro.rapidware import (
     TranscoderResponder,
     run_adaptive_walk_experiment,
 )
+from repro.transport import InprocChannel
 
 
 def lossy_receiver(loss_model):
-    ap = AccessPoint()
-    receiver = ap.add_receiver("r", loss_model=loss_model)
-    return ap, receiver
+    channel = InprocChannel()
+    receiver = channel.join("r", loss_model=loss_model)
+    return channel, receiver
+
+
+def airtime_channel(bandwidth_bps):
+    """A channel whose airtime is the payload bits alone."""
+    channel = InprocChannel(bandwidth_bps=bandwidth_bps)
+    channel.per_packet_overhead_s = 0.0
+    channel.join("r", loss_model=NoLoss(), queue_payloads=False)
+    return channel
 
 
 class TestLossRateObserver:
     def test_no_event_until_enough_samples(self):
-        _ap, receiver = lossy_receiver(NoLoss())
+        _channel, receiver = lossy_receiver(NoLoss())
         bus = EventBus()
         observer = LossRateObserver(receiver, bus, min_sample_packets=50)
         assert observer.observe(0.0) == []
 
     def test_clean_link_reports_info(self):
-        ap, receiver = lossy_receiver(NoLoss())
+        channel, receiver = lossy_receiver(NoLoss())
         bus = EventBus()
         observer = LossRateObserver(receiver, bus, min_sample_packets=10)
         for _ in range(20):
-            ap.multicast(b"pkt")
+            channel.send(b"pkt")
         events = observer.observe(1.0)
         assert len(events) == 1
         assert events[0].severity == SEVERITY_INFO
         assert events[0].value("loss_rate") == 0.0
 
     def test_lossy_link_reports_degraded_or_critical(self):
-        ap, receiver = lossy_receiver(FixedPatternLoss([True, False]))
+        channel, receiver = lossy_receiver(FixedPatternLoss([True, False]))
         bus = EventBus()
         observer = LossRateObserver(receiver, bus, min_sample_packets=10,
                                     smoothing=1.0)
         for _ in range(40):
-            ap.multicast(b"pkt")
+            channel.send(b"pkt")
         events = observer.observe(1.0)
         assert events[0].severity == SEVERITY_CRITICAL
         assert events[0].value("loss_rate") == pytest.approx(0.5)
 
     def test_smoothing_decays_gradually(self):
-        ap, receiver = lossy_receiver(FixedPatternLoss([True], repeat=False))
+        channel, receiver = lossy_receiver(FixedPatternLoss([True], repeat=False))
         bus = EventBus()
         observer = LossRateObserver(receiver, bus, min_sample_packets=5,
                                     smoothing=0.5)
         for _ in range(10):
-            ap.multicast(b"pkt")
+            channel.send(b"pkt")
         observer.observe(0.0)
         first_estimate = observer.last_loss_rate
         assert first_estimate > 0.0
         for _ in range(10):
-            ap.multicast(b"pkt")  # all delivered now
+            channel.send(b"pkt")  # all delivered now
         observer.observe(1.0)
         assert 0.0 < observer.last_loss_rate < first_estimate
 
     def test_invalid_thresholds_rejected(self):
-        _ap, receiver = lossy_receiver(NoLoss())
+        _channel, receiver = lossy_receiver(NoLoss())
         with pytest.raises(ValueError):
             LossRateObserver(receiver, EventBus(), degraded_threshold=0.5,
                              critical_threshold=0.1)
@@ -92,34 +100,31 @@ class TestLossRateObserver:
 
 class TestBandwidthObserver:
     def test_reports_utilisation(self):
-        ap = AccessPoint(bandwidth_bps=2_000_000, per_packet_overhead_s=0.0)
-        ap.add_receiver("r", loss_model=NoLoss())
+        channel = airtime_channel(2_000_000)
         bus = EventBus()
-        observer = BandwidthObserver(ap, bus)
+        observer = BandwidthObserver(channel, bus)
         assert observer.observe(0.0) == []  # first call establishes a baseline
         # 2 Mbps for 0.5 s = 125000 bytes fills half of a 1-second interval.
         for _ in range(500):
-            ap.multicast(b"\x00" * 250)
+            channel.send(b"\x00" * 250)
         events = observer.observe(1.0)
         assert events[0].value("utilisation") == pytest.approx(0.5, abs=0.05)
         assert events[0].severity == SEVERITY_INFO
 
     def test_critical_when_saturated(self):
-        ap = AccessPoint(bandwidth_bps=1_000_000, per_packet_overhead_s=0.0)
-        ap.add_receiver("r", loss_model=NoLoss())
+        channel = airtime_channel(1_000_000)
         bus = EventBus()
-        observer = BandwidthObserver(ap, bus)
+        observer = BandwidthObserver(channel, bus)
         observer.observe(0.0)
         for _ in range(1000):
-            ap.multicast(b"\x00" * 125)
+            channel.send(b"\x00" * 125)
         events = observer.observe(1.0)
         assert events[0].severity == SEVERITY_CRITICAL
 
 
 class TestMigrationObserver:
     def test_handoff_event_on_zone_crossing(self):
-        ap = AccessPoint()
-        receiver = ap.add_receiver("mobile", distance_m=5.0)
+        receiver = InprocChannel().join("mobile", distance_m=5.0)
         bus = EventBus()
         observer = MigrationObserver(receiver, bus,
                                      boundary_distances_m=(15.0, 30.0))
@@ -136,8 +141,7 @@ class TestMigrationObserver:
         assert back[0].severity == SEVERITY_INFO
 
     def test_non_distance_receiver_ignored(self):
-        ap = AccessPoint()
-        receiver = ap.add_receiver("fixed", loss_model=NoLoss())
+        receiver = InprocChannel().join("fixed", loss_model=NoLoss())
         observer = MigrationObserver(receiver, EventBus())
         assert observer.observe(0.0) == []
 

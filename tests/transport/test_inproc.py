@@ -1,21 +1,31 @@
-"""The inproc transport must preserve the simulation's semantics exactly."""
+"""The inproc channel is the simulated WLAN: seeded losses, airtime, stats."""
+
+import tracemalloc
 
 import pytest
 
-from repro.net import DistanceLoss, FixedPatternLoss, WirelessLAN
+from repro.net import DistanceLoss, FixedPatternLoss, NoLoss
 from repro.transport import InprocChannel, InprocTransport, TransportError
 
 
 class TestInprocChannel:
-    def test_wraps_an_existing_wlan(self):
-        wlan = WirelessLAN(seed=5)
-        channel = InprocChannel("wlan", wlan=wlan)
-        receiver = channel.join("laptop")
-        channel.send(b"pkt")
-        assert receiver.take() == [b"pkt"]
-        # The same packet went through the simulated access point.
-        assert wlan.access_point.packets_sent == 1
-        assert wlan.access_point.receiver("laptop").stats.packets_received == 1
+    def test_members_by_distance_or_model(self):
+        channel = InprocChannel("wlan")
+        channel.join("a", distance_m=10.0)
+        channel.join("b", loss_model=NoLoss())
+        assert channel.members() == ["a", "b"]
+        assert channel.receiver("a").distance_m == 10.0
+        assert channel.receiver("b").distance_m is None
+
+    def test_multicast_reaches_every_member(self):
+        channel = InprocChannel("wlan")
+        a = channel.join("a")
+        b = channel.join("b")
+        assert channel.send(b"hello") == 2
+        assert a.take() == [b"hello"]
+        assert b.pending() == 1
+        assert channel.packets_sent == 1
+        assert channel.bytes_sent == 5
 
     def test_loss_model_applies_per_member(self):
         channel = InprocChannel("wlan")
@@ -28,6 +38,16 @@ class TestInprocChannel:
         assert clean.take() == [b"p1", b"p2"]  # no-loss default
         assert lossy.stats.packets_lost == 1
 
+    def test_stats_track_losses(self):
+        channel = InprocChannel("wlan")
+        receiver = channel.join("r", loss_model=FixedPatternLoss([True, False]))
+        assert channel.send_many([b"a", b"b", b"c", b"d"]) == 4
+        stats = receiver.stats
+        assert stats.packets_sent_to == 4
+        assert stats.packets_lost == 2
+        assert stats.delivery_ratio == pytest.approx(0.5)
+        assert stats.loss_ratio == pytest.approx(0.5)
+
     def test_seeded_losses_are_deterministic(self):
         def run(seed):
             channel = InprocChannel("wlan", seed=seed)
@@ -39,10 +59,43 @@ class TestInprocChannel:
         assert run(11) == run(11)
         assert run(11) != run(12)  # different seed, different losses
 
-    def test_members_keep_no_second_copy(self):
-        """The simulated receiver hands each payload to the channel
-        receiver and keeps none itself; a callback-only member keeps none
-        at all."""
+    def test_unseeded_members_are_seeded_from_the_channel(self):
+        """A member joined by distance alone draws from
+        ``seed * 7919 + members + 1``."""
+        channel = InprocChannel("wlan", seed=5)
+        channel.join("first", distance_m=30.0)
+        second = channel.join("second", distance_m=30.0)
+        reference = DistanceLoss(30.0, seed=5 * 7919 + 2)
+        expected = [not reference.packet_lost() for _ in range(300)]
+        for i in range(300):
+            channel.send(bytes([i % 256]))
+        assert [p[0] for p in second.take()] == [
+            i % 256 for i, kept in enumerate(expected) if kept]
+
+    def test_send_many_draws_like_a_loop_of_send(self):
+        """Losses are drawn packet by packet, members in join order, so a
+        batch replays exactly what one send per packet would."""
+        def run(send):
+            channel = InprocChannel("wlan", seed=3)
+            # A model shared by two members exposes the draw order.
+            shared = DistanceLoss(35.0, seed=9)
+            members = [channel.join("a", loss_model=shared),
+                       channel.join("b", distance_m=30.0),
+                       channel.join("c", loss_model=shared)]
+            send(channel, [b"%d" % i for i in range(400)])
+            return ([m.take() for m in members],
+                    [vars(m.stats) for m in members],
+                    channel.packets_sent, channel.busy_time_s)
+
+        def one_by_one(channel, payloads):
+            for payload in payloads:
+                channel.send(payload)
+
+        assert run(one_by_one) == run(
+            lambda channel, payloads: channel.send_many(payloads))
+
+    def test_callback_only_member_keeps_nothing(self):
+        """A callback-only member sees every delivery and queues none."""
         channel = InprocChannel("w", seed=1)
         queued = channel.join("queued", distance_m=10.0)
         seen = []
@@ -51,26 +104,80 @@ class TestInprocChannel:
         for i in range(500):
             channel.send(b"%d" % i)
         assert callback.pending() == 0
-        assert callback.wireless.pending() == 0
         assert len(seen) == callback.packets_received > 0
-        assert queued.wireless.pending() == 0
         assert queued.pending() == queued.packets_received > 0
+
+    def test_sending_keeps_no_per_packet_record(self):
+        """The channel and its members keep counters only: 20 000 sends to
+        a callback-only member leave the traced heap where it was."""
+        channel = InprocChannel("w", seed=1)
+        channel.join("m", distance_m=25.0, queue_payloads=False,
+                     on_receive=lambda payload: None)
+        payload = b"\x00" * 64
+        for _ in range(100):
+            channel.send(payload)
+        tracemalloc.start()
+        try:
+            before, _peak = tracemalloc.get_traced_memory()
+            for _ in range(20_000):
+                channel.send(payload)
+            after, _peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert after - before < 1 << 20
+
+    def test_airtime_accounting(self):
+        channel = InprocChannel("wlan", bandwidth_bps=2_000_000)
+        channel.per_packet_overhead_s = 0.0
+        channel.join("r")
+        channel.send(b"\x00" * 250)  # 2000 bits at 2 Mbps = 1 ms
+        assert channel.busy_time_s == pytest.approx(0.001)
+        assert channel.bytes_sent == 250
+        assert channel.utilisation(0.01) == pytest.approx(0.1)
+        assert channel.utilisation(0.0) == 0.0
+
+    def test_invalid_bandwidth_rejected(self):
+        with pytest.raises(ValueError):
+            InprocChannel("wlan", bandwidth_bps=0)
+
+    def test_receiver_callback(self):
+        got = []
+        channel = InprocChannel("wlan")
+        channel.join("cb", on_receive=got.append)
+        channel.send(b"payload")
+        assert got == [b"payload"]
 
     def test_distance_and_move(self):
         channel = InprocChannel("wlan")
         receiver = channel.join("walker", distance_m=5.0, seed=3)
-        assert isinstance(receiver.wireless.loss_model, DistanceLoss)
+        assert isinstance(receiver.loss_model, DistanceLoss)
         receiver.move_to(40.0)
-        assert receiver.wireless.distance_m == 40.0
+        assert receiver.distance_m == 40.0
 
-    def test_send_to_unicasts_through_the_access_point(self):
+    def test_move_requires_a_distance_model(self):
+        receiver = InprocChannel("wlan").join("fixed", loss_model=NoLoss())
+        with pytest.raises(TypeError):
+            receiver.move_to(30.0)
+
+    def test_send_to_unicasts_to_one_member(self):
         channel = InprocChannel("wlan")
         a = channel.join("a")
-        channel.join("b")
+        b = channel.join("b")
         assert channel.send_to("a", b"uni")
         assert not channel.send_to("ghost", b"lost")
         assert a.take() == [b"uni"]
-        assert channel.access_point.packets_sent == 1
+        assert b.pending() == 0
+        assert channel.packets_sent == 1
+        assert b.stats.packets_sent_to == 0
+
+    def test_leave_marks_the_member_eof(self):
+        channel = InprocChannel("wlan")
+        receiver = channel.join("a")
+        channel.leave("a")
+        channel.leave("a")  # missing is a no-op
+        assert channel.members() == []
+        assert receiver.at_eof()
+        assert channel.send(b"x") == 0
 
     def test_close_marks_channel_receivers_eof(self):
         channel = InprocChannel("wlan")
@@ -101,11 +208,15 @@ class TestInprocTransport:
         assert packets(InprocTransport(seed=7)) == packets(InprocTransport(seed=7))
         assert packets(InprocTransport(seed=7)) != packets(InprocTransport(seed=8))
 
-    def test_bound_wlan_is_shared_by_channels(self):
-        wlan = WirelessLAN(seed=1)
-        transport = InprocTransport(wlan=wlan)
-        channel = transport.open_channel("wlan")
-        assert channel.wlan is wlan
+    def test_an_explicit_seed_wins(self):
+        def packets(channel):
+            receiver = channel.join("m", distance_m=30.0)
+            for i in range(100):
+                channel.send(bytes([i % 256]))
+            return receiver.take()
+
+        opened = InprocTransport(seed=7).open_channel("wlan", seed=3)
+        assert packets(opened) == packets(InprocChannel("wlan", seed=3))
 
     def test_stream_service_is_reliable(self):
         transport = InprocTransport()

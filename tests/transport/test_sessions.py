@@ -98,15 +98,14 @@ class TestAdaptiveSessionOverTransports:
         finally:
             session.shutdown()
 
-    def test_inproc_channel_queue_not_duplicated(self):
-        """Capture goes through the wireless inbox; the channel-side queue
-        must not keep a second copy of the stream (review #3)."""
+    def test_inproc_capture_drains_the_receiver(self):
+        """Capture drains the member's queue: nothing is left behind."""
         session = AdaptiveAudioSession(seed=7)
         try:
             session.enqueue_packets(_packets())
             session.finish(timeout=30.0)
-            assert session.channel_receiver.pending() == 0
-            assert session.channel_receiver.packets_received > 0
+            assert session.receiver.pending() == 0
+            assert session.receiver.packets_received > 0
         finally:
             session.shutdown()
 
@@ -115,6 +114,5 @@ class TestAdaptiveSessionOverTransports:
         session = AdaptiveAudioSession()
         try:
             assert isinstance(session.channel, UdpChannel)
-            assert session.wlan is None
         finally:
             session.shutdown()
