@@ -109,12 +109,15 @@ def test_e1_pause_splice_vs_naive_splice(benchmark):
         consumed = bytearray()
         for i in range(total // 2):
             dos.write(f"{i:06d};".encode())
-        # A slow reader drains in the background.
+        # A slow reader drains in the background once the splice begins.
+        reading = threading.Event()
         stop = threading.Event()
 
         def reader():
-            # A deliberately slow consumer: the splice always happens while
-            # bytes are still buffered downstream.
+            # A deliberately slow consumer that starts no earlier than the
+            # splice: the splice always happens while bytes are still
+            # buffered downstream, however the threads are scheduled.
+            reading.wait()
             while not stop.is_set() or dis.available():
                 data = dis.read(64) if dis.available() else b""
                 if data:
@@ -124,11 +127,13 @@ def test_e1_pause_splice_vs_naive_splice(benchmark):
         thread = threading.Thread(target=reader)
         thread.start()
         if protocol == "pause":
+            reading.set()
             dos.pause(drain_timeout=10.0)     # waits for the reader to drain
             dos.reconnect(dis)
         else:
             dos.detach()                      # naive: drop the link immediately
             dis.buffer.clear()                # in-flight bytes are stranded/lost
+            reading.set()
             dos.reconnect(dis)
         for i in range(total // 2, total):
             dos.write(f"{i:06d};".encode())

@@ -170,6 +170,47 @@ class TestInprocChannel:
         assert channel.packets_sent == 1
         assert b.stats.packets_sent_to == 0
 
+    def test_unicast_draws_no_loss_for_other_members(self):
+        """A unicast consumes only its member's loss draws, so the others
+        replay the same losses as on a channel that never unicast."""
+        def multicasts(unicast):
+            channel = InprocChannel("wlan", seed=4)
+            channel.join("a", distance_m=30.0)
+            b = channel.join("b", distance_m=30.0)
+            for i in range(300):
+                channel.send(bytes([i % 256]))
+                if unicast:
+                    channel.send_to("a", b"direct")
+            return b.take(), vars(b.stats)
+
+        assert multicasts(unicast=True) == multicasts(unicast=False)
+
+    def test_multicast_without_members_is_still_on_the_air(self):
+        channel = InprocChannel("wlan")
+        assert channel.send(b"abc") == 0
+        assert channel.send_many([b"de", b"f"]) == 0
+        assert channel.packets_sent == 3
+        assert channel.bytes_sent == 6
+        assert channel.busy_time_s == pytest.approx(
+            channel.airtime_for(3) + channel.airtime_for(2)
+            + channel.airtime_for(1))
+
+    def test_an_empty_batch_sends_nothing(self):
+        channel = InprocChannel("wlan")
+        receiver = channel.join("a")
+        assert channel.send_many([]) == 0
+        assert channel.packets_sent == 0
+        assert channel.busy_time_s == 0.0
+        assert receiver.stats.packets_sent_to == 0
+
+    def test_lookup_of_a_missing_member_raises(self):
+        channel = InprocChannel("wlan")
+        a = channel.join("a")
+        b = channel.join("b", distance_m=12.0)
+        assert channel.local_receivers() == [a, b]
+        with pytest.raises(KeyError):
+            channel.receiver("ghost")
+
     def test_leave_marks_the_member_eof(self):
         channel = InprocChannel("wlan")
         receiver = channel.join("a")
@@ -188,6 +229,13 @@ class TestInprocChannel:
         assert receiver.recv(timeout=1.0) is None
         with pytest.raises(TransportError):
             channel.send(b"late")
+
+    def test_a_member_joining_after_close_is_at_eof(self):
+        channel = InprocChannel("wlan")
+        channel.close()
+        late = channel.join("late")
+        assert late.at_eof()
+        assert late.recv(timeout=1.0) is None
 
     def test_duplicate_member_rejected(self):
         channel = InprocChannel("wlan")
